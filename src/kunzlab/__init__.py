@@ -57,7 +57,6 @@ from .words import (
     violations,
     witness_kunz,
     witness_nonkunz,
-    word_depth,
 )
 
 __version__ = "0.1.0"

@@ -17,6 +17,7 @@ import sys
 from . import lba
 from .errors import DomainError, KunzlabError, NoRefutation, NotCofinite, NotKunz
 from .languages import (
+    DEFAULT_CANDIDATE_CEILING,
     bader_moura_refute,
     count_kunz,
     enumerate_kunz,
@@ -32,7 +33,6 @@ from .words import (
     witness_nonkunz,
 )
 
-DEFAULT_CANDIDATE_CEILING = 10_000_000
 CEILING_ENV = "KUNZLAB_MAX_CANDIDATES"
 
 EXIT_OK = 0
@@ -52,16 +52,12 @@ def _ceiling(args) -> int:
     return DEFAULT_CANDIDATE_CEILING
 
 
-def _parse_word(text: str) -> Word:
-    return Word.parse(text)
-
-
 def _emit(obj) -> None:
     print(json.dumps(obj))
 
 
 def cmd_validate(args) -> int:
-    word = _parse_word(args.word)
+    word = Word.parse(args.word)
     kunz = is_kunz(word)
     _emit(
         {
@@ -76,10 +72,13 @@ def cmd_validate(args) -> int:
 
 def cmd_semigroup(args) -> int:
     if args.gens is not None:
-        gens = [int(part) for part in args.gens.split(",") if part.strip()]
+        try:
+            gens = [int(part) for part in args.gens.split(",") if part.strip()]
+        except ValueError as exc:
+            raise DomainError(f"cannot parse generators {args.gens!r}") from exc
         semigroup = from_generators(gens)
     else:
-        semigroup = to_semigroup(_parse_word(args.word))
+        semigroup = to_semigroup(Word.parse(args.word))
     _emit(semigroup.to_json_dict())
     return EXIT_OK
 
@@ -101,7 +100,7 @@ def cmd_lba(args) -> int:
         machine = lba.build_k3_machine()
     else:
         machine = lba.build_kn_machine(args.depth)
-    word = _parse_word(args.word)
+    word = Word.parse(args.word)
     result = lba.run(machine, word, max_steps=args.max_steps,
                      want_trace=args.trace)
     if args.trace:

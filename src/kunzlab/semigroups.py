@@ -2,17 +2,20 @@
 
 A numerical semigroup is a subset of the nonnegative integers that
 contains 0, is closed under addition, and misses only finitely many
-integers.  It is stored here by its conductor c (the least x with
-x + N contained in S) together with every element below c; membership
-above the conductor is computed, never stored.
+integers.  Its Apery tuple w (w[i] the least element congruent to i
+modulo the multiplicity m) carries everything: membership is
+x >= w[x mod m], the conductor is max(w) - m + 1, and the Kunz word is
+read off w.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from itertools import chain
+from typing import Iterable, Sequence
 
 from .errors import DomainError, NotCofinite, ResourceBound
 
@@ -32,6 +35,16 @@ class AperyData:
     kunz: tuple[int, ...]
 
 
+def _apery_values(small: Sequence[int], conductor: int, m: int) -> tuple[int, ...]:
+    """Least element per residue mod m of small_elements followed by
+    everything above the conductor; one pass, since small is ascending."""
+    values = [-1] * m
+    for x in chain(small, range(conductor + 1, conductor + m)):
+        if values[x % m] < 0:
+            values[x % m] = x
+    return tuple(values)
+
+
 @dataclass(frozen=True)
 class NumericalSemigroup:
     small_elements: tuple[int, ...]
@@ -45,28 +58,35 @@ class NumericalSemigroup:
             raise DomainError("small_elements must be strictly ascending")
         if small[-1] != self.conductor:
             raise DomainError("conductor must be the last small element")
-        members = set(small)
-        for a in small:
-            for b in small:
-                if a + b <= self.conductor and a + b not in members:
+        m = self.multiplicity
+        w = _apery_values(small, self.conductor, m)
+        top = max(w)
+        if top - m + 1 != self.conductor:
+            raise DomainError(f"conductor must be max(apery) - m + 1 = {top - m + 1}")
+        # Kunz's inequalities w[i] + w[j] >= w[(i + j) % m]; row i holds
+        # throughout once w[i] + min(w[1:]) reaches max(w)
+        least = min(w[1:], default=0)
+        for i in range(1, m):
+            wi = w[i]
+            if wi + least >= top:
+                continue
+            for j in range(i, m):
+                if wi + w[j] < w[(i + j) % m]:
                     raise DomainError(
-                        f"not closed under addition: {a} + {b} = {a + b} missing"
+                        f"not closed under addition: {wi} + {w[j]} = {wi + w[j]} missing"
                     )
-
-    @cached_property
-    def _member_set(self) -> frozenset[int]:
-        return frozenset(self.small_elements)
+        # Selmer: the genus is sum((w[i] - i) / m), all gaps below the conductor
+        genus = (sum(w) - m * (m - 1) // 2) // m
+        if len(small) != self.conductor + 1 - genus:
+            raise DomainError("small_elements must list every member up to the conductor")
 
     def __contains__(self, x: int) -> bool:
         return self.contains(x)
 
     def contains(self, x: int) -> bool:
         """Membership test; true for every x >= conductor."""
-        if x < 0:
-            return False
-        if x >= self.conductor:
-            return True
-        return x in self._member_set
+        w = self.apery.values
+        return x >= 0 and x >= w[x % len(w)]
 
     @property
     def multiplicity(self) -> int:
@@ -91,26 +111,16 @@ class NumericalSemigroup:
         return self.conductor - (len(self.small_elements) - 1)
 
     def gaps(self) -> list[int]:
-        return [x for x in range(1, self.conductor) if x not in self._member_set]
+        return [x for x in range(1, self.conductor) if not self.contains(x)]
 
     @cached_property
     def apery(self) -> AperyData:
         """Apery set with respect to the multiplicity, plus the Kunz
         coefficients read off from it."""
         m = self.multiplicity
-        values: list[int | None] = [None] * m
-        found = 0
-        x = 0
-        # every residue minimum lies at or below conductor + m - 1
-        while found < m:
-            r = x % m
-            if values[r] is None and self.contains(x):
-                values[r] = x
-                found += 1
-            x += 1
-        out = tuple(v for v in values if v is not None)
-        kunz = tuple((out[i] - i) // m for i in range(1, m))
-        return AperyData(values=out, kunz=kunz)
+        values = _apery_values(self.small_elements, self.conductor, m)
+        kunz = tuple((values[i] - i) // m for i in range(1, m))
+        return AperyData(values=values, kunz=kunz)
 
     def to_json_dict(self) -> dict:
         """Wire form; field order is part of the interface."""
@@ -133,6 +143,15 @@ class NumericalSemigroup:
 NATURALS = NumericalSemigroup(small_elements=(0,), conductor=0)
 
 
+def from_apery(values: Sequence[int]) -> NumericalSemigroup:
+    """The semigroup whose Apery tuple is ``values``, given values[i] % m == i
+    for m = len(values); DomainError if Kunz's inequalities fail."""
+    m = len(values)
+    conductor = max(values) - m + 1
+    small = tuple(x for x in range(conductor + 1) if x >= values[x % m])
+    return NumericalSemigroup(small_elements=small, conductor=conductor)
+
+
 def from_generators(gens: Iterable[int]) -> NumericalSemigroup:
     """Least submonoid of N containing ``gens``.
 
@@ -147,36 +166,20 @@ def from_generators(gens: Iterable[int]) -> NumericalSemigroup:
     if math.gcd(*gen_list) != 1:
         raise NotCofinite(f"gcd of {gen_list} is {math.gcd(*gen_list)}, not 1")
 
+    # Nijenhuis: w[r] is the shortest path 0 -> r over edges r -> r + g (mod m)
     m = gen_list[0]
-    # Reachability by dynamic programming on [0, bound].  min*max already
-    # exceeds the classical bound on the largest non-representable sum for
-    # any coprime generating set; the window check below re-verifies that
-    # and widens the table if it ever were too small.
-    bound = max(m * gen_list[-1], 1)
-    while True:
-        reachable = bytearray(bound + 1)
-        reachable[0] = 1
-        for x in range(1, bound + 1):
-            for g in gen_list:
-                if g > x:
-                    break
-                if reachable[x - g]:
-                    reachable[x] = 1
-                    break
-        last_gap = 0
-        for x in range(bound, 0, -1):
-            if not reachable[x]:
-                last_gap = x
-                break
-        conductor = last_gap + 1 if last_gap else 0
-        # m consecutive members starting at the conductor pin down
-        # everything above it
-        if conductor + m - 1 <= bound and all(
-            reachable[conductor + t] for t in range(m)
-        ):
-            small = tuple(x for x in range(conductor + 1) if reachable[x])
-            return NumericalSemigroup(small_elements=small, conductor=conductor)
-        bound *= 2
+    values = [0] + [math.inf] * (m - 1)
+    heap = [(0, 0)]
+    while heap:
+        d, r = heapq.heappop(heap)
+        if d > values[r]:
+            continue
+        for g in gen_list[1:]:
+            t = (r + g) % m
+            if d + g < values[t]:
+                values[t] = d + g
+                heapq.heappush(heap, (d + g, t))
+    return from_apery(values)
 
 
 def enumerate_semigroups(

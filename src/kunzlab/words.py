@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .errors import DomainError, NotKunz
-from .semigroups import NATURALS, NumericalSemigroup, from_generators
+from .semigroups import NumericalSemigroup, from_apery
 
 FIRST = "first"
 SECOND = "second"
@@ -116,10 +116,6 @@ def violations(word: Word) -> list[Violation]:
     return _scan_violations(word.letters, first_only=False)
 
 
-def word_depth(word: Word) -> int:
-    return word.depth
-
-
 def witness_kunz(q: int, n: int) -> Word:
     """The word 1^n 2^n ... (q-1)^n q, of length (q-1)n + 1.
 
@@ -156,18 +152,17 @@ def witness_nonkunz(q: int, n: int, m: int) -> Word:
 def to_semigroup(word: Word) -> NumericalSemigroup:
     """The unique numerical semigroup whose Kunz word is ``word``.
 
-    Length l gives multiplicity m = l + 1; letter u_i pins the Apery
-    element u_i*m + i, and those elements together with m generate the
-    semigroup.  Raises NotKunz when the word fails the Kunz conditions
-    (the bijection only covers Kunz words).
+    Length l gives multiplicity m = l + 1, and letter u_i is the Apery
+    element u_i*m + i; the empty word gives N itself.  Raises NotKunz
+    when the word fails the Kunz conditions (the bijection only covers
+    Kunz words).
     """
     if not is_kunz(word):
         raise NotKunz(f"{word} violates the Kunz conditions")
-    if len(word) == 0:
-        return NATURALS
     m = len(word) + 1
-    gens = {m} | {u * m + i for i, u in enumerate(word.letters, start=1)}
-    return from_generators(gens)
+    return from_apery(
+        (0,) + tuple(u * m + i for i, u in enumerate(word.letters, start=1))
+    )
 
 
 def from_semigroup(semigroup: NumericalSemigroup) -> Word:

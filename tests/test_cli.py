@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import kunzlab
 from kunzlab.cli import main
 
 
@@ -61,6 +66,20 @@ def test_semigroup_not_cofinite(capsys):
     code, _, err = run_cli(capsys, "semigroup", "--gens", "2,4")
     assert code == 1
     assert "gcd" in err
+
+
+@pytest.mark.parametrize("gens", ["3,x", "x,5", "4,x,9"])
+def test_semigroup_gens_parse_error(gens):
+    # a fresh process, so an uncaught exception would show as a traceback
+    env = dict(os.environ, PYTHONPATH=str(Path(kunzlab.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "kunzlab", "semigroup", "--gens", gens],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert "error" in proc.stderr
 
 
 def test_semigroup_not_kunz(capsys):

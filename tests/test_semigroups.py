@@ -39,7 +39,8 @@ def test_from_generators_rejects_bad_input():
         from_generators({0, 3})
 
 
-@pytest.mark.parametrize("gens", [{2, 3}, {4, 9, 11}, {6, 10, 15}, {5, 7}])
+@pytest.mark.parametrize("gens", [{2, 3}, {4, 9, 11}, {6, 10, 15}, {5, 7},
+                                  {6, 9, 20, 12}, {11, 7, 13, 8}])
 def test_from_generators_matches_naive_oracle(gens):
     limit = 3 * max(gens) * min(gens)
     members = naive_members(gens, limit)
@@ -47,6 +48,16 @@ def test_from_generators_matches_naive_oracle(gens):
     assert s.conductor == naive_conductor(gens, limit)
     for x in range(limit + 1):
         assert s.contains(x) == (x in members)
+
+
+@pytest.mark.parametrize("a,b", [(201, 203), (997, 1009)])
+def test_from_generators_two_coprime_generators(a, b):
+    # Sylvester: conductor (a-1)(b-1), half of [0, conductor) are gaps, and
+    # the Apery set of a is {j*b : 0 <= j < a}
+    s = from_generators([a, b])
+    assert s.conductor == (a - 1) * (b - 1)
+    assert s.genus == (a - 1) * (b - 1) // 2
+    assert sorted(s.apery.values) == sorted(j * b for j in range(a))
 
 
 def test_contains():
@@ -109,6 +120,10 @@ def test_constructor_validation():
     with pytest.raises(DomainError):
         # 3 + 3 = 6 <= 7 missing: not closed
         NumericalSemigroup(small_elements=(0, 3, 7), conductor=7)
+    # closed, but the stated conductor lies above the Frobenius number + 1
+    for small, conductor in [((0, 2, 3, 4), 4), ((0, 3, 4, 5), 5), ((0, 1, 2), 2)]:
+        with pytest.raises(DomainError):
+            NumericalSemigroup(small_elements=small, conductor=conductor)
 
 
 def test_enumerate_trivial():

@@ -16,7 +16,6 @@ from kunzlab import (
     violations,
     witness_kunz,
     witness_nonkunz,
-    word_depth,
 )
 from conftest import all_words
 
@@ -73,9 +72,9 @@ def test_second_condition_can_fail():
 
 
 def test_word_depth():
-    assert word_depth(Word(())) == 0
-    assert word_depth(Word((1, 2, 3))) == 3
-    assert word_depth(Word((2,))) == 2
+    assert Word(()).depth == 0
+    assert Word((1, 2, 3)).depth == 3
+    assert Word((2,)).depth == 2
 
 
 def test_all_short_12_words_are_kunz():
