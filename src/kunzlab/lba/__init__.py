@@ -1,7 +1,7 @@
 """Tape-bounded machines: simulator, subroutine macros, and the
 acceptors for the depth-q languages."""
 
-from .machines import build_k3_machine, build_kn_machine
+from .machines import MAX_MACHINE_DEPTH, build_k3_machine, build_kn_machine
 from .macros import goto_last_mark, scan_for_symbol, unary_compare, unary_transfer
 from .simulator import (
     ACCEPT,
@@ -25,6 +25,7 @@ __all__ = [
     "CompiledMachine",
     "DEFAULT_STEP_BUDGET",
     "LEFT",
+    "MAX_MACHINE_DEPTH",
     "MachineBuilder",
     "REJECT",
     "RIGHT",

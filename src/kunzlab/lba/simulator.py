@@ -6,10 +6,13 @@ marker just after the last.  A machine never writes on a marker cell,
 and any attempt to move past a marker is a rejecting event.
 
 Machines are authored as named states with ordered pattern rules (see
-MachineBuilder) and compiled down to a flat transition table over
-composite cells; the stepper below knows nothing about the rule layer.
-Every cell of the table is a plain tuple lookup, which keeps exhaustive
-oracle sweeps over thousands of inputs affordable.
+MachineBuilder).  Compiling numbers the states and the composite cells
+and checks every jump target, but works out no transition: the entry
+for a (state, cell) pair is resolved from the rules the first time a run
+reads it and memoised in the machine's table, so the work and memory
+grow with the distinct pairs runs visit, never with states x cells.
+Every later read is a plain dict lookup, which keeps exhaustive oracle
+sweeps over thousands of inputs affordable.
 
 Cell accounting convention: cells_used reported by a run is
 
@@ -74,7 +77,7 @@ class Rule:
 
 
 class MachineBuilder:
-    """Collects states and rules, then compiles a transition table."""
+    """Collects states and rules, then compiles them into a machine."""
 
     def __init__(
         self,
@@ -148,6 +151,11 @@ class MachineBuilder:
         )
 
     def compile(self) -> "CompiledMachine":
+        """Number the states and cells and check every jump target.
+
+        No transition is worked out here: each (state, cell) entry is
+        resolved from the rules on first use (CompiledMachine.resolve).
+        """
         state_names = list(self._rules)
         if self.start not in self._rules:
             raise MachineDefinitionError(f"start state {self.start!r} undefined")
@@ -162,36 +170,13 @@ class MachineBuilder:
                 raise MachineDefinitionError(f"rule jumps to unknown state {goto!r}")
             return state_ids[goto]
 
+        rules = tuple(
+            tuple((rule, target_id(rule.goto)) for rule in self._rules[state])
+            for state in state_names
+        )
         cells = [(LEFT_MARKER,), (RIGHT_MARKER,)]
         cells += list(itertools.product(*self.track_symbols))
         cell_ids = {cell: idx for idx, cell in enumerate(cells)}
-
-        table: list[list[tuple[int, int, int] | None]] = []
-        for state in state_names:
-            rules = self._rules[state]
-            row: list[tuple[int, int, int] | None] = [None] * len(cells)
-            for marker, cell_id in ((LEFT_MARKER, 0), (RIGHT_MARKER, 1)):
-                for rule in rules:
-                    if rule.marker == marker:
-                        row[cell_id] = (cell_id, rule.move, target_id(rule.goto))
-                        break
-            for cell, cell_id in cell_ids.items():
-                if cell_id < 2:
-                    continue
-                for rule in rules:
-                    if rule.marker is not None:
-                        continue
-                    if all(cell[track] in allowed for track, allowed in rule.when):
-                        if rule.write:
-                            new = list(cell)
-                            for track, symbol in rule.write:
-                                new[track] = symbol
-                            new_id = cell_ids[tuple(new)]
-                        else:
-                            new_id = cell_id
-                        row[cell_id] = (new_id, rule.move, target_id(rule.goto))
-                        break
-            table.append(row)
 
         letter_cell = {}
         for letter in self.input_alphabet:
@@ -206,17 +191,21 @@ class MachineBuilder:
             start_id=state_ids[self.start],
             state_names=tuple(state_names),
             cells=tuple(cells),
+            cell_ids=cell_ids,
             letter_cell=letter_cell,
-            table=table,
+            rules=rules,
+            table=[{} for _ in state_names],
         )
 
 
 @dataclass(frozen=True)
 class CompiledMachine:
-    """Flat transition table plus the metadata a run needs.
+    """Numbered states and cells, the rules, and a memoised transition table.
 
-    table[state_id][cell_id] is (new_cell_id, move, next_state_id) with
-    the next-state ids -1 and -2 standing for accept and reject.
+    table[state_id] maps a cell_id to (new_cell_id, move, next_state_id),
+    with the next-state ids -1 and -2 standing for accept and reject.  A
+    row starts empty and gains an entry the first time a run reads that
+    (state, cell) pair, so the table holds only the pairs runs reached.
     """
 
     name: str
@@ -226,11 +215,37 @@ class CompiledMachine:
     start_id: int
     state_names: tuple[str, ...]
     cells: tuple[tuple[str, ...], ...]
+    cell_ids: dict[tuple[str, ...], int]
     letter_cell: dict[int, int]
-    table: list[list[tuple[int, int, int] | None]]
+    rules: tuple[tuple[tuple[Rule, int], ...], ...]
+    table: list[dict[int, tuple[int, int, int]]]
 
     def state_count(self) -> int:
         return len(self.state_names)
+
+    def resolve(self, state: int, cell: int) -> tuple[int, int, int]:
+        """The entry for (state, cell): the first of the state's rules that
+        matches the cell, stored in the table for later reads.  Raises
+        MachineDefinitionError, and stores nothing, when no rule matches."""
+        symbols = self.cells[cell]
+        marker = symbols[0] if cell < 2 else None
+        for rule, target in self.rules[state]:
+            if rule.marker != marker or not all(
+                symbols[track] in allowed for track, allowed in rule.when
+            ):
+                continue
+            new_id = cell
+            if rule.write:
+                new = list(symbols)
+                for track, symbol in rule.write:
+                    new[track] = symbol
+                new_id = self.cell_ids[tuple(new)]
+            entry = self.table[state][cell] = (new_id, rule.move, target)
+            return entry
+        raise MachineDefinitionError(
+            f"{self.name}: state {self.state_names[state]!r} has no rule "
+            f"for cell {symbols!r}"
+        )
 
 
 @dataclass(frozen=True)
@@ -295,6 +310,7 @@ def run(
             )
 
     tape = [0] + [machine.letter_cell[letter] for letter in word] + [1]
+    end = len(tape)
     pos = 1
     min_pos = max_pos = pos
     state = machine.start_id
@@ -317,27 +333,24 @@ def run(
                 )
             else:
                 truncated = True
-        entry = table[state][cell]
-        if entry is None:
-            raise MachineDefinitionError(
-                f"{machine.name}: state {machine.state_names[state]!r} has no rule "
-                f"for cell {machine.cells[cell]!r}"
-            )
+        try:
+            new_cell, move, nxt = table[state][cell]
+        except KeyError:
+            new_cell, move, nxt = machine.resolve(state, cell)
         steps += 1
         if steps > max_steps:
             raise StepBudgetExceeded(
                 f"{machine.name} passed {max_steps} steps on {word!s}"
             )
-        tape[pos] = entry[0]
-        pos += entry[1]
-        if pos < 0 or pos >= len(tape):
+        tape[pos] = new_cell
+        pos += move
+        if pos < 0 or pos >= end:
             verdict = REJECT  # moving past an end marker rejects
             break
         if pos < min_pos:
             min_pos = pos
         elif pos > max_pos:
             max_pos = pos
-        nxt = entry[2]
         if nxt < 0:
             verdict = ACCEPT if nxt == _ACCEPT_ID else REJECT
             break

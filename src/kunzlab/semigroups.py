@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -54,7 +55,7 @@ class NumericalSemigroup:
         small = self.small_elements
         if not small or small[0] != 0:
             raise DomainError("small_elements must start with 0")
-        if list(small) != sorted(set(small)):
+        if not all(map(operator.lt, small, small[1:])):
             raise DomainError("small_elements must be strictly ascending")
         if small[-1] != self.conductor:
             raise DomainError("conductor must be the last small element")

@@ -142,6 +142,14 @@ def test_lba_generic_depth(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("depth", [kunzlab.lba.MAX_MACHINE_DEPTH + 1, 10**9])
+def test_lba_depth_over_ceiling(capsys, depth):
+    code, out, err = run_cli(capsys, "lba", "--depth", str(depth), "--word", "1")
+    assert code == 2
+    assert out == ""
+    assert "ceiling" in err
+
+
 def test_lba_trace_goes_to_stderr(capsys):
     code, out, err = run_cli(capsys, "lba", "--depth", "3", "--word", "1,2,3",
                              "--trace")

@@ -5,11 +5,21 @@ import pytest
 from kunzlab import (
     DomainError,
     LetterOutOfAlphabet,
+    MachineDefinitionError,
+    ResourceBound,
     StepBudgetExceeded,
     Word,
     in_kunz_language,
+    witness_kunz,
 )
-from kunzlab.lba import build_kn_machine, run
+from kunzlab.lba import (
+    ACCEPT,
+    MAX_MACHINE_DEPTH,
+    REJECT,
+    build_k3_machine,
+    build_kn_machine,
+    run,
+)
 
 
 @pytest.mark.parametrize(
@@ -162,3 +172,67 @@ def test_k3_long_trace_truncates(k3_machine):
     result = run(k3_machine, word, want_trace=True)
     assert result.trace_truncated
     assert len(result.trace) == 10_000
+
+
+def _first_match_table(machine):
+    """Every (state, cell) transition the first matching rule gives, worked
+    out from the rules alone; a pair no rule matches is left out."""
+    state_ids = {name: idx for idx, name in enumerate(machine.state_names)}
+    state_ids.update({ACCEPT: -1, REJECT: -2})
+    cell_ids = {cell: idx for idx, cell in enumerate(machine.cells)}
+    table = {}
+    for state, rules in enumerate(machine.rules):
+        for cell, symbols in enumerate(machine.cells):
+            for rule, _ in rules:
+                if len(symbols) == 1:  # an end marker
+                    if rule.marker != symbols[0]:
+                        continue
+                    new = symbols
+                else:
+                    if rule.marker is not None or any(
+                        symbols[track] not in allowed for track, allowed in rule.when
+                    ):
+                        continue
+                    new = list(symbols)
+                    for track, symbol in rule.write:
+                        new[track] = symbol
+                    new = tuple(new)
+                table[state, cell] = (cell_ids[new], rule.move, state_ids[rule.goto])
+                break
+    return table
+
+
+@pytest.mark.parametrize("build", [build_k3_machine,
+                                   lambda: build_kn_machine.__wrapped__(4)],
+                         ids=["k3", "k4"])
+def test_every_resolved_entry_matches_first_rule(build):
+    machine = build()
+    expected = _first_match_table(machine)
+    for state in range(machine.state_count()):
+        row = machine.table[state]
+        for cell in range(len(machine.cells)):
+            if (state, cell) in expected:
+                assert machine.resolve(state, cell) == expected[state, cell]
+                assert row[cell] == expected[state, cell]
+            else:
+                with pytest.raises(MachineDefinitionError):
+                    machine.resolve(state, cell)
+                assert cell not in row
+
+
+def test_run_resolves_only_the_entries_it_reads():
+    machine = build_kn_machine.__wrapped__(5)  # a fresh, empty table
+    assert not any(machine.table)
+    result = run(machine, witness_kunz(5, 19))
+    assert result.steps == 589_899
+    resolved = sum(map(len, machine.table))
+    assert 0 < resolved < 0.01 * machine.state_count() * len(machine.cells)
+    # a repeat run reads the memoised entries and resolves nothing new
+    assert run(machine, witness_kunz(5, 19)) == result
+    assert sum(map(len, machine.table)) == resolved
+
+
+@pytest.mark.parametrize("depth", [MAX_MACHINE_DEPTH + 1, 10**9])
+def test_kn_depth_ceiling(depth):
+    with pytest.raises(ResourceBound, match="ceiling"):
+        build_kn_machine(depth)

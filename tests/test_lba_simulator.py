@@ -81,8 +81,12 @@ def test_missing_rule_is_loud():
     b = two_track_builder()
     b.add("go", when={0: "1"}, move=RIGHT, goto="go")
     m = b.compile()
-    with pytest.raises(MachineDefinitionError):
-        run(m, Word((1, 2)))
+    # a second run fails the same way: the missing entry is never cached
+    for _ in range(2):
+        with pytest.raises(MachineDefinitionError,
+                           match=r"^toy: state 'go' has no rule for cell \('2', '_'\)$"):
+            run(m, Word((1, 2)))
+    assert sorted(m.table[0]) == [m.letter_cell[1]]
 
 
 def test_moving_past_marker_rejects():
@@ -107,6 +111,19 @@ def test_builder_validation():
         b.add("go", write={1: "9"}, goto=ACCEPT)
     b.add("go", goto="nowhere")
     with pytest.raises(MachineDefinitionError):
+        b.compile()
+
+
+def test_compile_checks_shadowed_goto():
+    # the catch-all shadows the second rule, whose target is still checked
+    b = two_track_builder()
+    b.add("go", goto=ACCEPT)
+    b.add("go", when={0: "1"}, goto="nowhere")
+    with pytest.raises(MachineDefinitionError, match="nowhere"):
+        b.compile()
+    b = two_track_builder(start="elsewhere")
+    b.add("go", goto=ACCEPT)
+    with pytest.raises(MachineDefinitionError, match="start state"):
         b.compile()
 
 
