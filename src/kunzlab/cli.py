@@ -4,7 +4,8 @@ One subcommand per operation family; JSON on stdout (CSV for the
 census), human-readable complaints on stderr.  Exit codes are stable:
 0 for success / a positive answer, 1 for a domain-negative outcome
 (word not Kunz, machine rejected, refutation incomplete, generators not
-cofinite), 2 for usage or parse errors.
+cofinite), 2 for usage or parse errors, 3 for a machine run that did not
+finish (StepBudgetExceeded, MachineDefinitionError).
 """
 
 from __future__ import annotations
@@ -15,7 +16,15 @@ import os
 import sys
 
 from . import lba
-from .errors import DomainError, KunzlabError, NoRefutation, NotCofinite, NotKunz
+from .errors import (
+    DomainError,
+    KunzlabError,
+    MachineDefinitionError,
+    NoRefutation,
+    NotCofinite,
+    NotKunz,
+    StepBudgetExceeded,
+)
 from .languages import (
     DEFAULT_CANDIDATE_CEILING,
     bader_moura_refute,
@@ -38,6 +47,7 @@ CEILING_ENV = "KUNZLAB_MAX_CANDIDATES"
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
+EXIT_MACHINE = 3
 
 
 def _ceiling(args) -> int:
@@ -201,6 +211,9 @@ def main(argv=None) -> int:
     except (NotCofinite, NotKunz) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NEGATIVE
+    except (StepBudgetExceeded, MachineDefinitionError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_MACHINE
     except (DomainError, KunzlabError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

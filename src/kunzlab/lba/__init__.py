@@ -2,7 +2,7 @@
 acceptors for the depth-q languages."""
 
 from .machines import MAX_MACHINE_DEPTH, build_k3_machine, build_kn_machine
-from .macros import goto_last_mark, scan_for_symbol, unary_compare, unary_transfer
+from .macros import goto_last_mark, scan_for_symbol, unary_transfer
 from .simulator import (
     ACCEPT,
     BLANK,
@@ -38,6 +38,5 @@ __all__ = [
     "goto_last_mark",
     "run",
     "scan_for_symbol",
-    "unary_compare",
     "unary_transfer",
 ]

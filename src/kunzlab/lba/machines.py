@@ -64,18 +64,19 @@ from .simulator import (
 T1, T2, T3, T4, T5 = range(5)
 ORIGIN = "#"
 
-# Largest depth build_kn_machine accepts.  Its rules grow as n^3: on a
-# 2-CPU VM with Python 3.11, depth 24 builds in about 0.4 s at 45 MB peak
-# RSS and depth 32 in 1.0 s at 79 MB.
+# Largest depth build_kn_machine accepts.  Its states and rules grow as
+# n^2: on a 2-CPU VM with Python 3.11, depth 24 builds in about 0.13 s at
+# 31 MB peak RSS and depth 32 in 0.26 s at 44 MB.
 MAX_MACHINE_DEPTH = 24
 
 
 def build_k3_machine() -> CompiledMachine:
     """Five-track acceptor for the depth-3 language."""
+    letters = ("1", "2", "3")
     b = MachineBuilder(
         "k3",
         track_symbols=[
-            ("1", "2", "3", "x", "y"),
+            letters + ("x", "y"),
             (BLANK, "1"),
             (BLANK, "1", "c"),
             (BLANK, "1"),
@@ -85,22 +86,7 @@ def build_k3_machine() -> CompiledMachine:
         bound_factor=6,
         start="step1.mark",
     )
-
-    # 1: one full sweep; reject unless a 3 occurs, store the length
-    b.add("step1.mark", marker="]", goto=REJECT)
-    b.add("step1.mark", when={T1: "3"}, write={T5: ORIGIN}, move=RIGHT,
-          goto="step1.scan_seen")
-    b.add("step1.mark", when={T1: {"1", "2"}}, write={T5: ORIGIN}, move=RIGHT,
-          goto="step1.scan_need")
-    b.add("step1.scan_need", marker="]", goto=REJECT)
-    b.add("step1.scan_need", when={T1: "3"}, write={T5: "1"}, move=RIGHT,
-          goto="step1.scan_seen")
-    b.add("step1.scan_need", when={T1: {"1", "2"}}, write={T5: "1"}, move=RIGHT,
-          goto="step1.scan_need")
-    b.add("step1.scan_seen", marker="]", move=LEFT, goto="step1.rewind")
-    b.add("step1.scan_seen", write={T5: "1"}, move=RIGHT, goto="step1.scan_seen")
-    scan_for_symbol(b, "step1.rewind", track=T5, symbols=ORIGIN, direction=LEFT,
-                    then="step2.scan", at_marker=REJECT)
+    _emit_length_sweep(b, letters, then="step2.scan")
 
     # 2: cross the next unchecked 1 as x, extending the unary index
     b.add("step2.scan", marker="]", goto=ACCEPT)
@@ -111,37 +97,23 @@ def build_k3_machine() -> CompiledMachine:
     b.add("step2.scan", when={T1: {"2", "3"}},
           write={T2: "1", T3: "1"}, move=RIGHT, goto="step2.scan")
 
-    # 3: sum i+i on track 4 and probe cell 2i for a 3
-    scan_for_symbol(b, "step3.rewind", track=T5, symbols=ORIGIN, direction=LEFT,
-                    then="step3.copy", at_marker=REJECT)
-    b.add("step3.copy", when={T2: "1"}, write={T4: "1"}, move=RIGHT,
-          goto="step3.copy")
-    b.add("step3.copy", when={T2: BLANK}, move=LEFT, goto="step3.add.take")
-    b.add("step3.copy", marker="]", move=LEFT, goto="step3.add.take")
-    unary_transfer(b, "step3.add", src_track=T3, spent="c", dst_track=T4,
-                   origin_track=T5, origin_symbols=ORIGIN,
-                   on_done="step3.goto", on_overflow="step3.sweep")
-    goto_last_mark(b, "step3.goto", track=T4, marks="1", then="step3.check")
-    b.add("step3.check", when={T1: "3"}, goto=REJECT)
-    b.add("step3.check", when={T1: {"1", "2"}}, move=LEFT, goto="step3.back")
-    b.add("step3.back", when={T1: "x"}, move=RIGHT, goto="step4.scan")
-    b.add("step3.back", when={T1: {"1", "2", "3"}}, move=LEFT, goto="step3.back")
+    # 3: sum i+i on track 4 and probe cell 2i for a 3 (over 1+1, the
+    # limit for every pair here, since x and y only ever cover 1s)
+    _emit_double(b, "", on_overflow="step3.sweep")
+    _emit_probe(b, "step3", "", letters, limit=2, home="x", then="step4.scan")
     # 2i ran off the tape: mark the leftovers consumed and move to phase 4
-    b.add("step3.sweep", when={T5: ORIGIN, T3: "1"}, write={T3: "c"},
-          goto="step4.seek")
-    b.add("step3.sweep", when={T5: ORIGIN}, goto="step4.seek")
-    b.add("step3.sweep", when={T3: "1"}, write={T3: "c"}, move=LEFT,
-          goto="step3.sweep")
-    b.add("step3.sweep", move=LEFT, goto="step3.sweep")
-    goto_last_mark(b, "step4.seek", track=T2, marks="1", then="step4.atx")
-    b.add("step4.atx", when={T1: "x"}, move=RIGHT, goto="step4.scan")
+    _emit_spend_rest(b, "step3.sweep", then="step4.seek")
+    _emit_back_to_x(b, "step4.seek", "step4.atx", "x", then="step4.scan")
 
-    # 4: mark the next 1 as y, extending track 3 to its index
+    # 4 / 7: mark the next 1 as y, extending track 3 to its index; past
+    # the last 1, phase 4 accepts and phase 7 restores and advances the x
     b.add("step4.scan", marker="]", goto=ACCEPT)
-    b.add("step4.scan", when={T1: "1"}, write={T1: "y", T3: "1"},
-          goto="step5.add.take")
-    b.add("step4.scan", when={T1: {"2", "3"}}, write={T3: "1"}, move=RIGHT,
-          goto="step4.scan")
+    b.add("step7.scan", marker="]", move=LEFT, goto="step7.restore")
+    for scan in ("step4.scan", "step7.scan"):
+        b.add(scan, when={T1: "1"}, write={T1: "y", T3: "1"},
+              goto="step5.add.take")
+        b.add(scan, when={T1: {"2", "3"}}, write={T3: "1"}, move=RIGHT,
+              goto=scan)
 
     # 5: extend the sum to i+j
     unary_transfer(b, "step5.add", src_track=T3, spent="c", dst_track=T4,
@@ -149,43 +121,15 @@ def build_k3_machine() -> CompiledMachine:
                    on_done="step5.goto", on_overflow="step5.sweep")
     goto_last_mark(b, "step5.goto", track=T4, marks="1", then="step6.check")
     # i+j ran off the tape: abandon the pair, return to the y
-    b.add("step5.sweep", when={T5: ORIGIN, T3: "1"}, write={T3: "c"},
-          goto="step5.ff")
-    b.add("step5.sweep", when={T5: ORIGIN}, goto="step5.ff")
-    b.add("step5.sweep", when={T3: "1"}, write={T3: "c"}, move=LEFT,
-          goto="step5.sweep")
-    b.add("step5.sweep", move=LEFT, goto="step5.sweep")
-    b.add("step5.ff", when={T3: "c"}, move=RIGHT, goto="step5.ff")
-    b.add("step5.ff", when={T3: BLANK}, move=LEFT, goto="step5.aty")
-    b.add("step5.ff", marker="]", move=LEFT, goto="step5.aty")
+    _emit_spend_rest(b, "step5.sweep", then="step5.ff")
+    _emit_forward(b, "step5.ff", then="step5.aty")
     b.add("step5.aty", when={T1: "y"}, move=RIGHT, goto="step7.scan")
 
     # 6: probe cell i+j for a 3, then return to the newest y
-    b.add("step6.check", when={T1: "3"}, goto=REJECT)
-    b.add("step6.check", when={T1: {"1", "2"}}, move=LEFT, goto="step6.back")
-    b.add("step6.back", when={T1: "y"}, move=RIGHT, goto="step7.scan")
-    b.add("step6.back", when={T1: {"1", "2", "3"}}, move=LEFT, goto="step6.back")
+    _emit_probe(b, "step6", "", letters, limit=2, home="y", then="step7.scan")
 
-    # 7: next y, or restore and advance the x
-    b.add("step7.scan", when={T1: "1"}, write={T1: "y", T3: "1"},
-          goto="step5.add.take")
-    b.add("step7.scan", when={T1: {"2", "3"}}, write={T3: "1"}, move=RIGHT,
-          goto="step7.scan")
-    b.add("step7.scan", marker="]", move=LEFT, goto="step7.restore")
-    b.add("step7.restore", when={T1: "y"},
-          write={T1: "1", T3: BLANK, T4: BLANK}, move=LEFT, goto="step7.restore")
-    b.add("step7.restore", when={T1: "x", T5: ORIGIN},
-          write={T3: "1", T4: BLANK}, goto="step7.seek")
-    b.add("step7.restore", when={T1: "x"},
-          write={T3: "1", T4: BLANK}, move=LEFT, goto="step7.unspend")
-    b.add("step7.restore", when={T1: {"2", "3"}},
-          write={T3: BLANK, T4: BLANK}, move=LEFT, goto="step7.restore")
-    b.add("step7.unspend", when={T3: "c", T5: ORIGIN},
-          write={T3: "1", T4: BLANK}, goto="step7.seek")
-    b.add("step7.unspend", when={T3: "c"},
-          write={T3: "1", T4: BLANK}, move=LEFT, goto="step7.unspend")
-    goto_last_mark(b, "step7.seek", track=T2, marks="1", then="step7.atx")
-    b.add("step7.atx", when={T1: "x"}, move=RIGHT, goto="step2.scan")
+    # 7: restore and advance the x; 2s and 3s pass unchanged
+    _emit_restore(b, "", {"y": "1", "2": "2", "3": "3"}, "x", then="step2.scan")
 
     return b.compile()
 
@@ -221,10 +165,89 @@ def build_kn_machine(n: int) -> CompiledMachine:
         bound_factor=2 * n,
         start="step1.mark",
     )
-    top = str(n)
-    small = tuple(s for s in letters if s != top)
+    _emit_length_sweep(b, letters, then="step2.cross")
 
-    # 1: one full sweep; reject unless the letter n occurs
+    # 2: cross the next position, whatever its letter, remembering it
+    b.add("step2.cross", marker="]", goto=ACCEPT)
+    for a, sym in enumerate(letters, start=1):
+        b.add("step2.cross", when={T1: sym, T5: ORIGIN},
+              write={T1: "x" + sym, T2: "1", T3: "1"}, goto=f"step3.copy[{a}]")
+        b.add("step2.cross", when={T1: sym},
+              write={T1: "x" + sym, T2: "1", T3: "1"}, move=LEFT,
+              goto=f"step3.rewind[{a}]")
+
+    for a in range(1, n + 1):
+        _emit_primary_states(b, a, letters)
+        for v in range(1, n + 1):
+            _emit_pair_states(b, a, v, letters, ymarks)
+
+    return b.compile()
+
+
+def _emit_primary_states(b, a, letters) -> None:
+    """Phase 3 for the position crossed with letter a, plus the phase 4
+    and phase 7 bookkeeping that only depends on a."""
+    sa = f"[{a}]"
+    x = "x" + str(a)
+    _emit_double(b, sa, on_overflow=f"step3.osweep{sa}")
+    # i+i <= length: first condition at cell 2i (always an unmarked letter)
+    _emit_probe(b, "step3", sa, letters, limit=a + a, home=x,
+                then=f"step4.cross{sa}")
+
+    # i+i overran the tape: re-anchor the leftover units as the overflow
+    # prefix, then check the shifted condition if it has a target
+    _emit_overflow_tail(b, "step3", sa, letters, filled=f"step3.off{sa}",
+                        limit=a + a + 1, then=f"step3.oseek{sa}")
+    b.add(f"step3.off{sa}", when={T3: {"1", "c"}}, move=RIGHT,
+          goto=f"step3.off{sa}")
+    b.add(f"step3.off{sa}", when={T3: BLANK}, move=LEFT, goto=f"step3.otake{sa}")
+    b.add(f"step3.off{sa}", marker="]", move=LEFT, goto=f"step3.otake{sa}")
+    b.add(f"step3.otake{sa}", when={T3: "1"}, write={T3: "c"},
+          goto=f"step3.osweep{sa}")
+    b.add(f"step3.otake{sa}", when={T5: ORIGIN, T3: "c"}, goto=f"step3.oprobe{sa}")
+    b.add(f"step3.otake{sa}", when={T3: "c"}, move=LEFT, goto=f"step3.otake{sa}")
+    _emit_back_to_x(b, f"step3.oseek{sa}", f"step3.oatx{sa}", x,
+                    then=f"step4.cross{sa}")
+
+    # 4 / 7: mark the next position as a partner, or restore and advance
+    for phase in ("step4", "step7"):
+        b.add(f"{phase}.cross{sa}", marker="]", move=LEFT,
+              goto=f"step7.restore{sa}")
+        for v, sym in enumerate(letters, start=1):
+            b.add(f"{phase}.cross{sa}", when={T1: sym},
+                  write={T1: "y" + sym, T3: "1"}, goto=f"step5.take[{a},{v}]")
+    _emit_restore(b, sa, {"y" + sym: sym for sym in letters}, x,
+                  then="step2.cross")
+
+
+def _emit_pair_states(b, a, v, letters, ymarks) -> None:
+    """Phases 5 and 6 for the pair of letters (a at the x, v at the y)."""
+    sab = f"[{a},{v}]"
+    # 5: one more unit onto the sum; writing it lands on cell i+j
+    b.add(f"step5.take{sab}", when={T3: "1"}, write={T3: "c"}, move=RIGHT,
+          goto=f"step5.put{sab}")
+    b.add(f"step5.put{sab}", when={T4: "1"}, move=RIGHT, goto=f"step5.put{sab}")
+    b.add(f"step5.put{sab}", when={T4: BLANK}, write={T4: "1"},
+          goto=f"step6.check{sab}")
+    b.add(f"step5.put{sab}", marker="]", move=LEFT, goto=f"step5.osweep{sab}")
+    # 6: first condition at cell i+j (always right of the y, unmarked)
+    _emit_probe(b, "step6", sab, letters, limit=a + v, home=ymarks,
+                then=f"step7.cross[{a}]")
+    # i+j overran: grow the overflow prefix by one and check the shifted
+    # condition, skipping the vacuous i+j = length+1 case
+    _emit_overflow_tail(b, "step5", sab, letters, filled=f"step5.oprobe{sab}",
+                        limit=a + v + 1, then=f"step5.ff{sab}")
+    _emit_forward(b, f"step5.ff{sab}", then=f"step6.back{sab}")
+
+
+# The phase emitters below serve both machines; a state-name ``tag`` is
+# "" in the depth-3 machine and the letter suffix "[a]" or "[a,v]" else.
+# ``letters`` is "1".."n" in order, so letters[:limit] are those <= limit.
+
+
+def _emit_length_sweep(b, letters, then) -> None:
+    """Phase 1: reject unless the top letter occurs; lay the length on track 5."""
+    top, small = letters[-1], letters[:-1]
     b.add("step1.mark", marker="]", goto=REJECT)
     b.add("step1.mark", when={T1: top}, write={T5: ORIGIN}, move=RIGHT,
           goto="step1.scan_seen")
@@ -238,151 +261,93 @@ def build_kn_machine(n: int) -> CompiledMachine:
     b.add("step1.scan_seen", marker="]", move=LEFT, goto="step1.rewind")
     b.add("step1.scan_seen", write={T5: "1"}, move=RIGHT, goto="step1.scan_seen")
     scan_for_symbol(b, "step1.rewind", track=T5, symbols=ORIGIN, direction=LEFT,
-                    then="step2.cross", at_marker=REJECT)
-
-    # 2: cross the next position, whatever its letter, remembering it
-    b.add("step2.cross", marker="]", goto=ACCEPT)
-    for a, sym in enumerate(letters, start=1):
-        b.add("step2.cross", when={T1: sym, T5: ORIGIN},
-              write={T1: "x" + sym, T2: "1", T3: "1"}, goto=f"step3.copy[{a}]")
-        b.add("step2.cross", when={T1: sym},
-              write={T1: "x" + sym, T2: "1", T3: "1"}, move=LEFT,
-              goto=f"step3.rewind[{a}]")
-
-    for a in range(1, n + 1):
-        _emit_primary_states(b, n, a, letters)
-        for v in range(1, n + 1):
-            _emit_pair_states(b, n, a, v, letters, ymarks)
-
-    return b.compile()
+                    then=then, at_marker=REJECT)
 
 
-def _emit_primary_states(b, n, a, letters) -> None:
-    """Phase 3 for the position crossed with letter a, plus the phase 4
-    and phase 7 bookkeeping that only depends on a."""
-    sa = f"[{a}]"
-    scan_for_symbol(b, f"step3.rewind{sa}", track=T5, symbols=ORIGIN,
-                    direction=LEFT, then=f"step3.copy{sa}", at_marker=REJECT)
-    b.add(f"step3.copy{sa}", when={T2: "1"}, write={T4: "1"}, move=RIGHT,
-          goto=f"step3.copy{sa}")
-    b.add(f"step3.copy{sa}", when={T2: BLANK}, move=LEFT,
-          goto=f"step3.add{sa}.take")
-    b.add(f"step3.copy{sa}", marker="]", move=LEFT, goto=f"step3.add{sa}.take")
-    unary_transfer(b, f"step3.add{sa}", src_track=T3, spent="c", dst_track=T4,
+def _emit_double(b, tag, on_overflow) -> None:
+    """Phase 3's prelude: put i+i on track 4 and park the head on cell 2i."""
+    scan_for_symbol(b, f"step3.rewind{tag}", track=T5, symbols=ORIGIN,
+                    direction=LEFT, then=f"step3.copy{tag}", at_marker=REJECT)
+    b.add(f"step3.copy{tag}", when={T2: "1"}, write={T4: "1"}, move=RIGHT,
+          goto=f"step3.copy{tag}")
+    b.add(f"step3.copy{tag}", when={T2: BLANK}, move=LEFT,
+          goto=f"step3.add{tag}.take")
+    b.add(f"step3.copy{tag}", marker="]", move=LEFT, goto=f"step3.add{tag}.take")
+    unary_transfer(b, f"step3.add{tag}", src_track=T3, spent="c", dst_track=T4,
                    origin_track=T5, origin_symbols=ORIGIN,
-                   on_done=f"step3.goto{sa}", on_overflow=f"step3.osweep{sa}")
-    goto_last_mark(b, f"step3.goto{sa}", track=T4, marks="1",
-                   then=f"step3.check{sa}")
-    # i+i <= length: first condition at cell 2i (always an unmarked letter)
-    for v, sym in enumerate(letters, start=1):
-        if a + a < v:
-            b.add(f"step3.check{sa}", when={T1: sym}, goto=REJECT)
-        else:
-            b.add(f"step3.check{sa}", when={T1: sym}, move=LEFT,
-                  goto=f"step3.back{sa}")
-    b.add(f"step3.back{sa}", when={T1: "x" + str(a)}, move=RIGHT,
-          goto=f"step4.cross{sa}")
-    b.add(f"step3.back{sa}", when={T1: letters}, move=LEFT, goto=f"step3.back{sa}")
-
-    # i+i overran the tape: re-anchor the leftover units as the overflow
-    # prefix, then check the shifted condition if it has a target
-    scan_for_symbol(b, f"step3.osweep{sa}", track=T5, symbols=ORIGIN,
-                    direction=LEFT, then=f"step3.ofill{sa}", at_marker=REJECT)
-    b.add(f"step3.ofill{sa}", when={T4: "o"}, move=RIGHT, goto=f"step3.ofill{sa}")
-    b.add(f"step3.ofill{sa}", when={T4: "1"}, write={T4: "o"},
-          goto=f"step3.off{sa}")
-    b.add(f"step3.off{sa}", when={T3: {"1", "c"}}, move=RIGHT,
-          goto=f"step3.off{sa}")
-    b.add(f"step3.off{sa}", when={T3: BLANK}, move=LEFT, goto=f"step3.otake{sa}")
-    b.add(f"step3.off{sa}", marker="]", move=LEFT, goto=f"step3.otake{sa}")
-    b.add(f"step3.otake{sa}", when={T3: "1"}, write={T3: "c"},
-          goto=f"step3.osweep{sa}")
-    b.add(f"step3.otake{sa}", when={T5: ORIGIN, T3: "c"}, goto=f"step3.oprobe{sa}")
-    b.add(f"step3.otake{sa}", when={T3: "c"}, move=LEFT, goto=f"step3.otake{sa}")
-    b.add(f"step3.oprobe{sa}", when={T4: "o"}, move=RIGHT, goto=f"step3.oprobe{sa}")
-    b.add(f"step3.oprobe{sa}", marker="]", move=LEFT, goto=f"step3.oback{sa}")
-    b.add(f"step3.oprobe{sa}", move=LEFT, goto=f"step3.oback{sa}")
-    b.add(f"step3.oback{sa}", when={T5: ORIGIN}, goto=f"step3.oseek{sa}")
-    b.add(f"step3.oback{sa}", move=LEFT, goto=f"step3.ocheck{sa}")
-    # the shifted target sits left of i, so it is always a crossed cell
-    for v in range(1, n + 1):
-        if a + a + 1 < v:
-            b.add(f"step3.ocheck{sa}", when={T1: "x" + str(v)}, goto=REJECT)
-        else:
-            b.add(f"step3.ocheck{sa}", when={T1: "x" + str(v)},
-                  goto=f"step3.oseek{sa}")
-    goto_last_mark(b, f"step3.oseek{sa}", track=T2, marks="1",
-                   then=f"step3.oatx{sa}")
-    b.add(f"step3.oatx{sa}", when={T1: "x" + str(a)}, move=RIGHT,
-          goto=f"step4.cross{sa}")
-
-    # 4 / 7: mark the next position as a partner, or restore and advance
-    for phase in ("step4", "step7"):
-        b.add(f"{phase}.cross{sa}", marker="]", move=LEFT,
-              goto=f"step7.restore{sa}")
-        for v, sym in enumerate(letters, start=1):
-            b.add(f"{phase}.cross{sa}", when={T1: sym},
-                  write={T1: "y" + sym, T3: "1"}, goto=f"step5.take[{a},{v}]")
-    for v, sym in enumerate(letters, start=1):
-        b.add(f"step7.restore{sa}", when={T1: "y" + sym},
-              write={T1: sym, T3: BLANK, T4: BLANK}, move=LEFT,
-              goto=f"step7.restore{sa}")
-    b.add(f"step7.restore{sa}", when={T1: "x" + str(a), T5: ORIGIN},
-          write={T3: "1", T4: BLANK}, goto=f"step7.seek{sa}")
-    b.add(f"step7.restore{sa}", when={T1: "x" + str(a)},
-          write={T3: "1", T4: BLANK}, move=LEFT, goto=f"step7.unspend{sa}")
-    b.add(f"step7.unspend{sa}", when={T3: "c", T5: ORIGIN},
-          write={T3: "1", T4: BLANK}, goto=f"step7.seek{sa}")
-    b.add(f"step7.unspend{sa}", when={T3: "c"},
-          write={T3: "1", T4: BLANK}, move=LEFT, goto=f"step7.unspend{sa}")
-    goto_last_mark(b, f"step7.seek{sa}", track=T2, marks="1",
-                   then=f"step7.atx{sa}")
-    b.add(f"step7.atx{sa}", when={T1: "x" + str(a)}, move=RIGHT,
-          goto="step2.cross")
+                   on_done=f"step3.goto{tag}", on_overflow=on_overflow)
+    goto_last_mark(b, f"step3.goto{tag}", track=T4, marks="1",
+                   then=f"step3.check{tag}")
 
 
-def _emit_pair_states(b, n, a, v, letters, ymarks) -> None:
-    """Phases 5 and 6 for the pair of letters (a at the x, v at the y)."""
-    sab = f"[{a},{v}]"
-    sa = f"[{a}]"
-    # 5: one more unit onto the sum; writing it lands on cell i+j
-    b.add(f"step5.take{sab}", when={T3: "1"}, write={T3: "c"}, move=RIGHT,
-          goto=f"step5.put{sab}")
-    b.add(f"step5.put{sab}", when={T4: "1"}, move=RIGHT, goto=f"step5.put{sab}")
-    b.add(f"step5.put{sab}", when={T4: BLANK}, write={T4: "1"},
-          goto=f"step6.check{sab}")
-    b.add(f"step5.put{sab}", marker="]", move=LEFT, goto=f"step5.osweep{sab}")
-    # 6: first condition at cell i+j (always right of the y, unmarked)
-    for w, sym in enumerate(letters, start=1):
-        if a + v < w:
-            b.add(f"step6.check{sab}", when={T1: sym}, goto=REJECT)
-        else:
-            b.add(f"step6.check{sab}", when={T1: sym}, move=LEFT,
-                  goto=f"step6.back{sab}")
-    b.add(f"step6.back{sab}", when={T1: ymarks}, move=RIGHT,
-          goto=f"step7.cross{sa}")
-    b.add(f"step6.back{sab}", when={T1: letters}, move=LEFT,
-          goto=f"step6.back{sab}")
-    # i+j overran: grow the overflow prefix by one and check the shifted
-    # condition, skipping the vacuous i+j = length+1 case
-    scan_for_symbol(b, f"step5.osweep{sab}", track=T5, symbols=ORIGIN,
-                    direction=LEFT, then=f"step5.ofill{sab}", at_marker=REJECT)
-    b.add(f"step5.ofill{sab}", when={T4: "o"}, move=RIGHT,
-          goto=f"step5.ofill{sab}")
-    b.add(f"step5.ofill{sab}", when={T4: "1"}, write={T4: "o"},
-          goto=f"step5.oprobe{sab}")
-    b.add(f"step5.oprobe{sab}", when={T4: "o"}, move=RIGHT,
-          goto=f"step5.oprobe{sab}")
-    b.add(f"step5.oprobe{sab}", marker="]", move=LEFT, goto=f"step5.oback{sab}")
-    b.add(f"step5.oprobe{sab}", move=LEFT, goto=f"step5.oback{sab}")
-    b.add(f"step5.oback{sab}", when={T5: ORIGIN}, goto=f"step5.ff{sab}")
-    b.add(f"step5.oback{sab}", move=LEFT, goto=f"step5.ocheck{sab}")
-    for w in range(1, n + 1):
-        if a + v + 1 < w:
-            b.add(f"step5.ocheck{sab}", when={T1: "x" + str(w)}, goto=REJECT)
-        else:
-            b.add(f"step5.ocheck{sab}", when={T1: "x" + str(w)},
-                  goto=f"step5.ff{sab}")
-    b.add(f"step5.ff{sab}", when={T3: "c"}, move=RIGHT, goto=f"step5.ff{sab}")
-    b.add(f"step5.ff{sab}", when={T3: BLANK}, move=LEFT, goto=f"step6.back{sab}")
-    b.add(f"step5.ff{sab}", marker="]", move=LEFT, goto=f"step6.back{sab}")
+def _emit_probe(b, phase, tag, letters, *, limit, home, then) -> None:
+    """First condition at the probed, unmarked cell: reject a letter over
+    ``limit``, else return right of the ``home`` mark."""
+    check, back = f"{phase}.check{tag}", f"{phase}.back{tag}"
+    b.add(check, when={T1: letters[:limit]}, move=LEFT, goto=back)
+    if limit < len(letters):
+        b.add(check, when={T1: letters[limit:]}, goto=REJECT)
+    b.add(back, when={T1: home}, move=RIGHT, goto=then)
+    b.add(back, when={T1: letters}, move=LEFT, goto=back)
+
+
+def _emit_spend_rest(b, name, then) -> None:
+    """Walk left to the origin marking every unit of track 3 spent."""
+    b.add(name, when={T5: ORIGIN, T3: "1"}, write={T3: "c"}, goto=then)
+    b.add(name, when={T5: ORIGIN}, goto=then)
+    b.add(name, when={T3: "1"}, write={T3: "c"}, move=LEFT, goto=name)
+    b.add(name, move=LEFT, goto=name)
+
+
+def _emit_overflow_tail(b, phase, tag, letters, *, filled, limit, then) -> None:
+    """Grow track 4's overflow prefix by one 'o' (on to ``filled``); from
+    oprobe, check that the cell left of the last 'o', a crossed one, holds
+    at most ``limit``.  A prefix of length 1 has no such cell."""
+    osweep, ofill = f"{phase}.osweep{tag}", f"{phase}.ofill{tag}"
+    oprobe, oback = f"{phase}.oprobe{tag}", f"{phase}.oback{tag}"
+    ocheck = f"{phase}.ocheck{tag}"
+    scan_for_symbol(b, osweep, track=T5, symbols=ORIGIN, direction=LEFT,
+                    then=ofill, at_marker=REJECT)
+    b.add(ofill, when={T4: "o"}, move=RIGHT, goto=ofill)
+    b.add(ofill, when={T4: "1"}, write={T4: "o"}, goto=filled)
+    b.add(oprobe, when={T4: "o"}, move=RIGHT, goto=oprobe)
+    b.add(oprobe, marker="]", move=LEFT, goto=oback)
+    b.add(oprobe, move=LEFT, goto=oback)
+    b.add(oback, when={T5: ORIGIN}, goto=then)
+    b.add(oback, move=LEFT, goto=ocheck)
+    xmarks = ["x" + sym for sym in letters]
+    b.add(ocheck, when={T1: xmarks[:limit]}, goto=then)
+    if limit < len(xmarks):
+        b.add(ocheck, when={T1: xmarks[limit:]}, goto=REJECT)
+
+
+def _emit_forward(b, name, then) -> None:
+    """Walk right over the spent units of track 3, stopping on the y."""
+    b.add(name, when={T3: "c"}, move=RIGHT, goto=name)
+    b.add(name, when={T3: BLANK}, move=LEFT, goto=then)
+    b.add(name, marker="]", move=LEFT, goto=then)
+
+
+def _emit_back_to_x(b, seek, atx, x, then) -> None:
+    """Go to the x, whose index track 2 holds, and step right of it."""
+    goto_last_mark(b, seek, track=T2, marks="1", then=atx)
+    b.add(atx, when={T1: x}, move=RIGHT, goto=then)
+
+
+def _emit_restore(b, tag, restores, x, then) -> None:
+    """Phase 7: walk left to the x turning each mark in ``restores`` back
+    into its letter, unspend track 3, then return right of the x."""
+    restore, unspend = f"step7.restore{tag}", f"step7.unspend{tag}"
+    seek = f"step7.seek{tag}"
+    for mark, letter in restores.items():
+        b.add(restore, when={T1: mark},
+              write={T1: letter, T3: BLANK, T4: BLANK}, move=LEFT, goto=restore)
+    b.add(restore, when={T1: x, T5: ORIGIN},
+          write={T3: "1", T4: BLANK}, goto=seek)
+    b.add(restore, when={T1: x},
+          write={T3: "1", T4: BLANK}, move=LEFT, goto=unspend)
+    b.add(unspend, when={T3: "c", T5: ORIGIN},
+          write={T3: "1", T4: BLANK}, goto=seek)
+    b.add(unspend, when={T3: "c"},
+          write={T3: "1", T4: BLANK}, move=LEFT, goto=unspend)
+    _emit_back_to_x(b, seek, f"step7.atx{tag}", x, then=then)

@@ -2,13 +2,12 @@
 
 Unary quantities live on scratch tracks as contiguous mark prefixes
 anchored at the first input cell, so the value k is readable as "the
-rightmost mark sits on cell k".  The four subroutines here are the
+rightmost mark sits on cell k".  The three subroutines here are the
 building blocks the machine programs compose:
 
 * scan_for_symbol  -- sweep one direction until a symbol shows up
 * goto_last_mark   -- park the head on cell k for a unary k (go-to-index)
 * unary_transfer   -- add one unary track into another, unit by unit
-* unary_compare    -- decide whether one unary value exceeds another
 
 Reaching an end marker where a subroutine's contract forbids it is wired
 to whatever the caller passes, typically a rejecting verdict.
@@ -16,7 +15,7 @@ to whatever the caller passes, typically a rejecting verdict.
 
 from __future__ import annotations
 
-from .simulator import BLANK, LEFT, MachineBuilder, RIGHT, STAY
+from .simulator import BLANK, LEFT, MachineBuilder, RIGHT
 
 
 def scan_for_symbol(
@@ -64,7 +63,6 @@ def unary_transfer(
     origin_symbols,
     on_done: str,
     on_overflow: str,
-    unit: str = "1",
 ) -> None:
     """Append one destination unit per unspent source mark (the unary
     addition subroutine).
@@ -83,27 +81,7 @@ def unary_transfer(
     b.add(take, when={src_track: "1"}, write={src_track: spent}, move=RIGHT, goto=put)
     b.add(take, when={origin_track: origin_symbols, src_track: spent}, goto=on_done)
     b.add(take, when={src_track: {spent, BLANK}}, move=LEFT, goto=take)
-    b.add(put, when={dst_track: unit}, move=RIGHT, goto=put)
-    b.add(put, when={dst_track: BLANK}, write={dst_track: unit}, move=LEFT, goto=take)
+    b.add(put, when={dst_track: "1"}, move=RIGHT, goto=put)
+    b.add(put, when={dst_track: BLANK}, write={dst_track: "1"}, move=LEFT, goto=take)
     b.add(put, marker="]", move=LEFT, goto=on_overflow)
 
-
-def unary_compare(
-    b: MachineBuilder,
-    name: str,
-    *,
-    track_a: int,
-    a_marks,
-    track_b: int,
-    b_marks,
-    on_gt: str,
-    on_le: str,
-) -> None:
-    """Decide value(a) > value(b) for two mark prefixes, entering at the
-    first input cell.  Lands in ``on_gt`` on the first cell where only
-    track a is marked, in ``on_le`` where track a runs out first (or both
-    run out together)."""
-    b.add(name, when={track_a: a_marks, track_b: b_marks}, move=RIGHT, goto=name)
-    b.add(name, when={track_a: a_marks}, goto=on_gt)
-    b.add(name, marker="]", goto=on_le)
-    b.add(name, goto=on_le)

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -60,11 +61,15 @@ def test_k4_examples(k4_machine, letters, verdict):
     assert run(k4_machine, Word(letters)).verdict == verdict
 
 
-def test_k4_oracle_sweep(k4_machine):
+@pytest.mark.parametrize("depth", [4, 5])
+def test_k4_oracle_sweep(depth):
+    """Every word over {1..depth} of length at most 4 (781 at depth 5)."""
+    machine = build_kn_machine(depth)
+    alphabet = range(1, depth + 1)
     for length in range(0, 5):
-        for letters in itertools.product((1, 2, 3, 4), repeat=length):
+        for letters in itertools.product(alphabet, repeat=length):
             word = Word(letters)
-            assert run(k4_machine, word).accepted == in_kunz_language(word, 4)
+            assert run(machine, word).accepted == in_kunz_language(word, depth)
 
 
 def test_generic_k3_agrees_with_special_machine(k3_machine):
@@ -202,22 +207,43 @@ def _first_match_table(machine):
     return table
 
 
-@pytest.mark.parametrize("build", [build_k3_machine,
-                                   lambda: build_kn_machine.__wrapped__(4)],
-                         ids=["k3", "k4"])
-def test_every_resolved_entry_matches_first_rule(build):
+@pytest.mark.parametrize(
+    "build,digest",
+    [
+        (build_k3_machine,
+         "7b89a9a19461f6b69d988505abe99f71472b9a4aba4ecc3d2c502b0443756046"),
+        (lambda: build_kn_machine.__wrapped__(4),
+         "25022b15be117d24222571e763a35ea798d42c5671889795ec523b733dab0872"),
+        (lambda: build_kn_machine.__wrapped__(5),
+         "afbf596917f85da6940ee6f2e35e701fcd66620aaa7a151e63f30c518bea2d6b"),
+    ],
+    ids=["k3", "k4", "k5"],
+)
+def test_every_resolved_entry_matches_first_rule(build, digest):
+    """Each entry resolves to the first matching rule, and the whole
+    transition function, by state and cell names, hashes to a pinned
+    value, so a rewrite of the machine programs cannot change it."""
     machine = build()
     expected = _first_match_table(machine)
+    names = machine.state_names + (REJECT, ACCEPT)  # ids -2 and -1 wrap
+    records = []
     for state in range(machine.state_count()):
         row = machine.table[state]
         for cell in range(len(machine.cells)):
+            record = (machine.state_names[state], machine.cells[cell])
             if (state, cell) in expected:
                 assert machine.resolve(state, cell) == expected[state, cell]
                 assert row[cell] == expected[state, cell]
+                new_cell, move, target = row[cell]
+                record += (machine.cells[new_cell], move, names[target])
             else:
                 with pytest.raises(MachineDefinitionError):
                     machine.resolve(state, cell)
                 assert cell not in row
+                record += (None, None, None)
+            records.append(record)
+    text = "\n".join(map(repr, sorted(records)))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_run_resolves_only_the_entries_it_reads():

@@ -18,7 +18,6 @@ from kunzlab.lba import (
     goto_last_mark,
     run,
     scan_for_symbol,
-    unary_compare,
     unary_transfer,
 )
 
@@ -241,16 +240,3 @@ def test_goto_last_mark_lands_on_index():
     result = run(m, Word((1, 1, 1, 2, 3)), want_trace=True)
     assert result.accepted
     assert result.trace[-1].head == 3
-
-
-def test_unary_compare_branches():
-    # source value = number of 1s and 2s, destination value = number of 1s
-    b = unary_builder()
-    setup_unary_tracks(b)
-    b.add("start_op", goto="cmp")
-    unary_compare(b, "cmp", track_a=1, a_marks={"1", "c"}, track_b=2,
-                  b_marks="1", on_gt=ACCEPT, on_le=REJECT)
-    m = b.compile()
-    assert run(m, Word((1, 1, 1, 1, 2))).accepted       # 5 > 4
-    assert not run(m, Word((1, 1, 1, 1, 1))).accepted   # 5 > 5 is false
-    assert not run(m, Word((1, 1, 3, 3, 3))).accepted   # 2 > 2 is false
