@@ -20,6 +20,7 @@ from .errors import (
     NotCofinite,
     NotKunz,
     ResourceBound,
+    SelfCheckFailed,
     StepBudgetExceeded,
 )
 from .languages import (

@@ -4,8 +4,10 @@ One subcommand per operation family; JSON on stdout (CSV for the
 census), human-readable complaints on stderr.  Exit codes are stable:
 0 for success / a positive answer, 1 for a domain-negative outcome
 (word not Kunz, machine rejected, refutation incomplete, generators not
-cofinite), 2 for usage or parse errors, 3 for a machine run that did not
-finish (StepBudgetExceeded, MachineDefinitionError).
+cofinite), 2 for usage or parse errors and ceilings (ResourceBound), 3
+for an internal fault: a machine run that did not finish
+(StepBudgetExceeded, MachineDefinitionError) or a result that failed
+its own re-verification (SelfCheckFailed).
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from .errors import (
     NoRefutation,
     NotCofinite,
     NotKunz,
+    SelfCheckFailed,
     StepBudgetExceeded,
 )
 from .languages import (
@@ -47,7 +50,7 @@ CEILING_ENV = "KUNZLAB_MAX_CANDIDATES"
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
-EXIT_MACHINE = 3
+EXIT_INTERNAL = 3
 
 
 def _ceiling(args) -> int:
@@ -211,9 +214,9 @@ def main(argv=None) -> int:
     except (NotCofinite, NotKunz) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NEGATIVE
-    except (StepBudgetExceeded, MachineDefinitionError) as exc:
+    except (StepBudgetExceeded, MachineDefinitionError, SelfCheckFailed) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MACHINE
+        return EXIT_INTERNAL
     except (DomainError, KunzlabError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -49,6 +49,12 @@ class MachineDefinitionError(KunzlabError):
     bug in the machine program, never a property of the input."""
 
 
+class SelfCheckFailed(KunzlabError):
+    """A result failed the package's own re-verification before being
+    reported.  Always a bug in this package, never a property of the
+    input."""
+
+
 class NoRefutation(KunzlabError):
     """Some decomposition admitted by the pumping conditions survived all
     attempted pumping counts.

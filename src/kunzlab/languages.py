@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import comb
-from typing import Mapping
+from typing import Iterator, Mapping
 
 from .errors import (
     DomainError,
@@ -21,8 +21,9 @@ from .errors import (
     LetterOutOfAlphabet,
     NoRefutation,
     ResourceBound,
+    SelfCheckFailed,
 )
-from .words import Word, is_kunz, witness_kunz, witness_nonkunz
+from .words import Word, _letter_bounds, is_kunz, witness_kunz, witness_nonkunz
 
 DEFAULT_CANDIDATE_CEILING = 10_000_000
 
@@ -87,6 +88,53 @@ def in_kunz_language(word: Word, q: int) -> bool:
     return word.depth == q and is_kunz(word)
 
 
+def _check_census(q: int, length: int, max_candidates: int) -> None:
+    """Argument and ceiling checks shared by the two census functions."""
+    if q < 0 or length < 0:
+        raise DomainError("depth and length must be nonnegative")
+    candidates = q**length
+    # K_0 is the empty word alone, so its cells are never refused
+    if q and candidates > max_candidates:
+        raise ResourceBound(
+            f"{candidates} candidate words exceed the ceiling {max_candidates}"
+        )
+
+
+def _last_letters(q: int, length: int) -> Iterator[tuple[list[int], int, int]]:
+    """Depth-first walk over the prefixes u_1 .. u_{l-1} (l = length >= 1)
+    whose every letter lies in its _letter_bounds interval, in
+    lexicographic order.  For each one yields (u, lo, hi): u holds the
+    prefix in u[:-1], and the K_q words it extends to are those ending
+    in lo .. hi (none when lo > hi).  u is reused between yields.
+    """
+    u = [0] * length
+    tops = [0] * length
+    first_q = length  # position of the first q in the prefix; length if none
+    p = 0  # letters placed
+    while True:
+        if p == length - 1:
+            lo, hi = _letter_bounds(u, length, length, q)
+            # hi <= q, and a prefix without a q can only end in q
+            yield u, (lo if first_q < length else q), hi
+        else:
+            lo, tops[p] = _letter_bounds(u, p + 1, length, q)
+            u[p] = lo - 1
+            p += 1
+        # next letter at the deepest position that has one left
+        while p:
+            x = u[p - 1] + 1
+            if x <= tops[p - 1]:
+                u[p - 1] = x
+                if x == q and first_q > p:
+                    first_q = p
+                break
+            if first_q == p:
+                first_q = length
+            p -= 1
+        else:
+            return
+
+
 def enumerate_kunz(
     q: int,
     length: int,
@@ -95,31 +143,29 @@ def enumerate_kunz(
 ) -> list[Word]:
     """All words of K_q of the given length, in lexicographic order.
 
-    Plain generate-and-test over {1..q}^length against the Kunz scan;
-    the second condition depends on the final length, so prefix pruning
-    is deliberately not attempted here.
+    A depth-first search that tries letters in ascending order and, the
+    length being fixed, places each letter only inside the interval the
+    Kunz conditions decided at its position leave open (see
+    words._letter_bounds), so every dead prefix is cut as soon as it is
+    placed.  The ceiling still applies to all q**length candidates.
     """
-    if q < 0 or length < 0:
-        raise DomainError("depth and length must be nonnegative")
-    if q == 0:
-        return [Word(())] if length == 0 else []
-    candidates = q**length
-    if candidates > max_candidates:
-        raise ResourceBound(
-            f"{candidates} candidate words exceed the ceiling {max_candidates}"
-        )
+    _check_census(q, length, max_candidates)
+    if q == 0 or length == 0:
+        return [Word(())] if q == length == 0 else []
     out = []
-    for letters in itertools.product(range(1, q + 1), repeat=length):
-        if max(letters, default=0) != q:
-            continue
-        word = Word(letters)
-        if is_kunz(word):
-            out.append(word)
+    for u, lo, hi in _last_letters(q, length):
+        head = tuple(u[:-1])
+        out.extend(Word(head + (x,)) for x in range(lo, hi + 1))
     return out
 
 
 def count_kunz(q: int, length: int, *, max_candidates: int = DEFAULT_CANDIDATE_CEILING) -> int:
-    return len(enumerate_kunz(q, length, max_candidates=max_candidates))
+    """len(enumerate_kunz(q, length)), by the same walk but building no
+    words: each last interval adds its size."""
+    _check_census(q, length, max_candidates)
+    if q == 0 or length == 0:
+        return int(q == length == 0)
+    return sum(max(0, hi - lo + 1) for _, lo, hi in _last_letters(q, length))
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +230,7 @@ def nerode_evidence(q: int, cutoff: int) -> NerodeReport:
             member_i = in_kunz_language(word_i, q)
             member_j = in_kunz_language(word_j, q)
             if not member_i or member_j:
-                raise AssertionError(
+                raise SelfCheckFailed(
                     f"separation for ({i}, {j}) failed re-verification"
                 )
             separations.append(
@@ -361,16 +407,20 @@ def bader_moura_refute(
         )
     marking = mark_for_refutation(word, q)
     if len(marking.distinguished) <= p ** (len(marking.excluded) + 1):
-        raise AssertionError("marked word does not trigger the pumping property")
+        raise SelfCheckFailed("marked word does not trigger the pumping property")
 
+    # marked positions among 1..c for every cut c, once per word, so the
+    # counts in a window are differences
+    dist, excl = zip(*(marking.count_in(0, c) for c in range(length + 1)))
     records = []
     for cuts in itertools.combinations_with_replacement(range(length + 1), 4):
         c1, c2, c3, c4 = cuts
-        d_v, e_v = marking.count_in(c1, c2)
-        d_y, e_y = marking.count_in(c3, c4)
-        if d_v + d_y < 1 or e_v + e_y != 0:
+        d_vy = dist[c2] - dist[c1] + dist[c4] - dist[c3]
+        e_vy = excl[c2] - excl[c1] + excl[c4] - excl[c3]
+        if d_vy < 1 or e_vy != 0:
             continue
-        d_vxy, e_vxy = marking.count_in(c1, c4)
+        d_vxy = dist[c4] - dist[c1]
+        e_vxy = excl[c4] - excl[c1]
         if d_vxy > p ** (e_vxy + 1):
             continue
         decomposition = Decomposition(cuts=cuts)
@@ -386,8 +436,8 @@ def bader_moura_refute(
         records.append(
             RefutationRecord(
                 decomposition=decomposition,
-                d_vy=d_v + d_y,
-                e_vy=e_v + e_y,
+                d_vy=d_vy,
+                e_vy=e_vy,
                 d_vxy=d_vxy,
                 e_vxy=e_vxy,
                 k=found[0] if found else None,

@@ -85,7 +85,55 @@ class Violation:
         return {"kind": self.kind, "i": self.i, "j": self.j, "target": self.target}
 
 
-def _scan_violations(letters: Sequence[int], first_only: bool) -> list[Violation]:
+def _letter_bounds(u: Sequence[int], p: int, length: int, q: int) -> tuple[int, int]:
+    """The interval [lo, hi] that letter u_p of a Kunz word of the given
+    length over {1..q} must lie in, given u_1 .. u_{p-1} (u[0] .. u[p-2]).
+
+    Each condition is decided by the largest index it involves: the
+    first (u_i + u_j >= u_{i+j}) when its target p = i + j is placed,
+    which caps u_p; the second (u_i + u_j + 1 >= u_t, t = i+j-(l+1))
+    when j = p is placed, since t < i, which floors u_p.  So a word is
+    Kunz iff every letter lies in its interval, and a prefix with an
+    empty interval ahead of it extends to no Kunz word of this length.
+    """
+    hi = q
+    for i in range(1, p // 2 + 1):
+        s = u[i - 1] + u[p - i - 1]
+        if s < hi:
+            hi = s
+    lo = 1
+    t = 2 * p - length - 1  # the target of the pair (p, p)
+    if t >= 1:
+        lo = max(lo, u[t - 1] // 2)
+        # the pairs (i, p) for i = l+2-p .. p-1 have targets 1 .. t-1
+        shift = length + 1 - p
+        for k in range(t - 1):
+            b = u[k] - u[shift + k] - 1
+            if b > lo:
+                lo = b
+    return lo, hi
+
+
+def is_kunz(word: Word) -> bool:
+    """True iff every letter lies in its _letter_bounds interval, that
+    is, no Kunz condition fails.  The empty word passes."""
+    u = word.letters
+    n = len(u)
+    q = word.depth
+    for p in range(1, n + 1):
+        lo, hi = _letter_bounds(u, p, n, q)
+        if not lo <= u[p - 1] <= hi:
+            return False
+    return True
+
+
+def violations(word: Word) -> list[Violation]:
+    """Every failed condition, ordered by (i, j).  Empty iff is_kunz.
+
+    A plain scan over all index pairs, kept apart from the interval
+    check in is_kunz so that each checks the other.
+    """
+    letters = word.letters
     n = len(letters)
     out: list[Violation] = []
     for i in range(1, n + 1):
@@ -95,25 +143,11 @@ def _scan_violations(letters: Sequence[int], first_only: bool) -> list[Violation
             if s <= n:
                 if ui + letters[j - 1] < letters[s - 1]:
                     out.append(Violation(FIRST, i, j, s))
-                    if first_only:
-                        return out
             elif s >= n + 2:
                 t = s - (n + 1)
                 if ui + letters[j - 1] + 1 < letters[t - 1]:
                     out.append(Violation(SECOND, i, j, t))
-                    if first_only:
-                        return out
     return out
-
-
-def is_kunz(word: Word) -> bool:
-    """True iff no Kunz condition fails.  The empty word passes."""
-    return not _scan_violations(word.letters, first_only=True)
-
-
-def violations(word: Word) -> list[Violation]:
-    """Every failed condition, ordered by (i, j).  Empty iff is_kunz."""
-    return _scan_violations(word.letters, first_only=False)
 
 
 def witness_kunz(q: int, n: int) -> Word:

@@ -46,6 +46,16 @@ def kunz_tuple_ok(t):
     return True
 
 
+def naive_census(q, length):
+    """Letter tuples of the K_q words of this length, in lexicographic
+    order: every tuple over {1..q} with largest letter q that passes
+    kunz_tuple_ok."""
+    return [
+        t for t in itertools.product(range(1, q + 1), repeat=length)
+        if max(t, default=0) == q and kunz_tuple_ok(t)
+    ]
+
+
 def all_words(alphabet, max_len):
     for length in range(max_len + 1):
         for letters in itertools.product(alphabet, repeat=length):

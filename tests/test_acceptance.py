@@ -198,3 +198,16 @@ def test_criterion_10_census_cross_oracle(census):
     report(10, "census cross-oracle", not failures and hand_cell_ok,
            f"28 (multiplicity, depth) cells agree across the two "
            f"enumerators; count(depth 3, length 2) = {count_kunz(3, 2)}")
+
+
+def test_criterion_10_census_cross_oracle_to_m10():
+    wide = enumerate_semigroups(10, 4)
+    by_cell = Counter((s.multiplicity, s.depth) for s in wide)
+    failures = [
+        (m, q, by_cell.get((m, q), 0), count_kunz(q, m - 1))
+        for m in range(1, 11) for q in range(1, 5)
+        if by_cell.get((m, q), 0) != count_kunz(q, m - 1)
+    ]
+    report(10, "census cross-oracle, m <= 10", not failures,
+           f"40 (multiplicity, depth) cells over {len(wide)} semigroups "
+           f"agree across the two enumerators; mismatches {failures}")

@@ -82,6 +82,24 @@ def test_semigroup_gens_parse_error(gens):
     assert "error" in proc.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    ("--gens", "20011,20021"),
+    ("--gens", "3000000,3000001"),
+    ("--word", "2000000"),
+])
+def test_semigroup_over_conductor_ceiling(argv):
+    # refused up front: the first needs a conductor of about 4 * 10^8
+    env = dict(os.environ, PYTHONPATH=str(Path(kunzlab.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "kunzlab", "semigroup", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert "over the ceiling" in proc.stderr
+
+
 def test_semigroup_not_kunz(capsys):
     code, _, err = run_cli(capsys, "semigroup", "--word", "1,1,3")
     assert code == 1
@@ -217,3 +235,27 @@ def test_pumping_refuses_small_depth(capsys):
     code, _, err = run_cli(capsys, "pumping", "--depth", "4", "--p", "1",
                            "--kmax", "4")
     assert code == 2
+
+
+def _lying_membership(monkeypatch):
+    monkeypatch.setattr(kunzlab.languages, "in_kunz_language",
+                        lambda word, q: False)
+
+
+def _empty_marking(monkeypatch):
+    monkeypatch.setattr(kunzlab.languages, "mark_for_refutation",
+                        lambda word, q: kunzlab.PositionMarking(frozenset(),
+                                                                frozenset()))
+
+
+@pytest.mark.parametrize("fault,argv", [
+    (_lying_membership, ("nerode", "--depth", "3", "--max", "3")),
+    (_empty_marking, ("pumping", "--depth", "5", "--p", "1", "--kmax", "4")),
+])
+def test_self_check_failure_is_internal(capsys, monkeypatch, fault, argv):
+    fault(monkeypatch)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert "Traceback" not in err

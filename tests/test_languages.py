@@ -22,7 +22,7 @@ from kunzlab import (
     pump,
     witness_kunz,
 )
-from conftest import all_words
+from conftest import all_words, naive_census
 
 
 def test_dfa_k2_examples():
@@ -95,6 +95,23 @@ def test_enumerate_kunz_properties():
 def test_count_kunz_depth2_closed_form():
     for length in range(1, 11):
         assert count_kunz(2, length) == 2**length - 1
+
+
+CENSUS_CELLS = [(q, length) for q in range(1, 13) for length in range(18)
+                if q**length <= 2 * 10**5]
+
+
+@pytest.mark.parametrize("q,length", CENSUS_CELLS)
+def test_census_matches_naive_oracle(q, length):
+    want = naive_census(q, length)
+    assert [w.letters for w in enumerate_kunz(q, length)] == want
+    assert count_kunz(q, length) == len(want)
+
+
+@pytest.mark.parametrize("q,length,count", [
+    (3, 12, 141_095), (4, 10, 150_052), (5, 9, 207_832), (6, 8, 141_795)])
+def test_count_kunz_large_cells(q, length, count):
+    assert count_kunz(q, length) == count
 
 
 def test_enumerate_resource_bound():

@@ -6,9 +6,12 @@ from kunzlab import (
     NotCofinite,
     NumericalSemigroup,
     ResourceBound,
+    Word,
     enumerate_semigroups,
     from_generators,
+    to_semigroup,
 )
+from kunzlab.semigroups import MAX_CONDUCTOR, from_apery
 from conftest import kunz_tuple_ok, naive_conductor, naive_members
 
 
@@ -58,6 +61,19 @@ def test_from_generators_two_coprime_generators(a, b):
     assert s.conductor == (a - 1) * (b - 1)
     assert s.genus == (a - 1) * (b - 1) // 2
     assert sorted(s.apery.values) == sorted(j * b for j in range(a))
+
+
+def test_construction_ceiling():
+    # refused before anything of the semigroup's size is built
+    with pytest.raises(ResourceBound, match="multiplicity"):
+        from_generators([MAX_CONDUCTOR + 1, MAX_CONDUCTOR + 2])
+    with pytest.raises(ResourceBound, match="conductor 400600200 is over"):
+        from_generators([20011, 20021])
+    # m = 2 and w = (0, c + 1) give conductor c
+    with pytest.raises(ResourceBound, match="conductor"):
+        from_apery((0, MAX_CONDUCTOR + 3))
+    with pytest.raises(ResourceBound, match="conductor"):
+        to_semigroup(Word((MAX_CONDUCTOR // 2 + 1,)))
 
 
 def test_contains():

@@ -17,7 +17,7 @@ from kunzlab import (
     witness_kunz,
     witness_nonkunz,
 )
-from conftest import all_words
+from conftest import all_words, kunz_tuple_ok
 
 
 def test_word_parse_and_str():
@@ -58,6 +58,13 @@ def test_violations_sorted_and_consistent():
         vs = violations(w)
         assert vs == sorted(vs, key=lambda v: (v.i, v.j))
         assert (vs == []) == is_kunz(w)
+
+
+def test_interval_check_scan_and_definition_agree():
+    # is_kunz (per-letter intervals), violations (pair scan) and the
+    # definition in conftest decide every short word alike
+    for w in all_words(range(1, 6), 6):
+        assert is_kunz(w) == (not violations(w)) == kunz_tuple_ok(w.letters)
 
 
 def test_violation_json():
