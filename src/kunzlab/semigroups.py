@@ -3,9 +3,14 @@
 A numerical semigroup is a subset of the nonnegative integers that
 contains 0, is closed under addition, and misses only finitely many
 integers.  Its Apery tuple w (w[i] the least element congruent to i
-modulo the multiplicity m) carries everything: membership is
-x >= w[x mod m], the conductor is max(w) - m + 1, and the Kunz word is
-read off w.
+modulo the multiplicity m) carries everything, and it is all that a
+NumericalSemigroup stores: m - 1 Kunz coordinates' worth of ints
+however large the conductor.  Membership is x >= w[x mod m], the
+conductor is max(w) - m + 1, the genus is the sum of the Kunz
+coordinates (Selmer), and the Kunz word is read off w, each in O(m) or
+less.  small_elements, gaps() and the wire form list the members or
+gaps below the conductor, so they are built on demand, in O(c), on each
+read.
 """
 
 from __future__ import annotations
@@ -14,17 +19,17 @@ import heapq
 import math
 import operator
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import chain
 from typing import Iterable, Sequence
 
 from .errors import DomainError, NotCofinite, ResourceBound
 
 DEFAULT_SEARCH_CEILING = 10_000_000
-# Largest conductor built: small_elements holds about c/2 ints, and the
-# build of [1447, 1451] (c = 2,096,700) takes 0.4 s at 63 MB peak RSS
-# (2-CPU VM, Python 3.11).  The multiplicity is checked against it first,
-# since c >= m; shortest paths for m = 2**21 take 1.5-2.5 s at 128 MB.
+# Largest conductor built: small_elements, gaps() and the wire form are
+# O(c) reads, and listing the small elements of [1447, 1451]
+# (c = 2,096,700) at the ceiling takes about 0.2 s (2-CPU VM,
+# Python 3.11).  The multiplicity is checked against it first, since
+# c >= m; shortest paths for m = 2**21 take 1.5-2.5 s at 128 MB.
 MAX_CONDUCTOR = 2**21
 
 
@@ -41,65 +46,87 @@ class AperyData:
     kunz: tuple[int, ...]
 
 
-def _apery_values(small: Sequence[int], conductor: int, m: int) -> tuple[int, ...]:
-    """Least element per residue mod m of small_elements followed by
-    everything above the conductor; one pass, since small is ascending."""
+def _apery_values(members: Iterable[int], top: int, m: int) -> tuple[int, ...]:
+    """Least element per residue mod m of the semigroup that holds
+    ``members`` (ascending, none above ``top``) and every integer from
+    ``top`` on; one pass, since that sequence is ascending."""
     values = [-1] * m
-    for x in chain(small, range(conductor + 1, conductor + m)):
+    for x in chain(members, range(top, top + m)):
         if values[x % m] < 0:
             values[x % m] = x
     return tuple(values)
 
 
-@dataclass(frozen=True)
-class NumericalSemigroup:
-    small_elements: tuple[int, ...]
-    conductor: int
+def _check_apery(w: tuple[int, ...]) -> None:
+    """DomainError unless w is the Apery tuple of a numerical semigroup
+    of multiplicity m = len(w): w[0] = 0, w[i] = k*m + i with k >= 1 for
+    0 < i < m, and Kunz's inequalities w[i] + w[j] >= w[(i + j) % m]."""
+    m = len(w)
+    if not w or w[0] != 0:
+        raise DomainError("an Apery tuple must start with 0")
+    for i in range(1, m):
+        if w[i] % m != i or w[i] < m:
+            raise DomainError(f"w[{i}] = {w[i]} is not k*{m} + {i} with k >= 1")
+    # row i holds throughout once w[i] + min(w[1:]) reaches max(w)
+    top = max(w)
+    least = min(w[1:], default=0)
+    for i in range(1, m):
+        wi = w[i]
+        if wi + least >= top:
+            continue
+        for j in range(i, m):
+            if wi + w[j] < w[(i + j) % m]:
+                raise DomainError(
+                    f"not closed under addition: {wi} + {w[j]} = {wi + w[j]} missing"
+                )
 
-    def __post_init__(self):
-        small = self.small_elements
+
+@dataclass(frozen=True, slots=True)
+class NumericalSemigroup:
+    """A numerical semigroup, stored as its Apery tuple alone; equality
+    and hash are those of the tuple.
+
+    The constructor converts from the members up to the conductor;
+    from_apery, from_generators and words.to_semigroup build from the
+    Apery tuple directly.
+    """
+
+    _w: tuple[int, ...]
+
+    def __init__(self, small_elements: Sequence[int], conductor: int):
+        small = tuple(small_elements)
         if not small or small[0] != 0:
             raise DomainError("small_elements must start with 0")
         if not all(map(operator.lt, small, small[1:])):
             raise DomainError("small_elements must be strictly ascending")
-        if small[-1] != self.conductor:
+        if small[-1] != conductor:
             raise DomainError("conductor must be the last small element")
-        m = self.multiplicity
-        w = _apery_values(small, self.conductor, m)
-        top = max(w)
-        if top - m + 1 != self.conductor:
-            raise DomainError(f"conductor must be max(apery) - m + 1 = {top - m + 1}")
-        # Kunz's inequalities w[i] + w[j] >= w[(i + j) % m]; row i holds
-        # throughout once w[i] + min(w[1:]) reaches max(w)
-        least = min(w[1:], default=0)
-        for i in range(1, m):
-            wi = w[i]
-            if wi + least >= top:
-                continue
-            for j in range(i, m):
-                if wi + w[j] < w[(i + j) % m]:
-                    raise DomainError(
-                        f"not closed under addition: {wi} + {w[j]} = {wi + w[j]} missing"
-                    )
-        # Selmer: the genus is sum((w[i] - i) / m), all gaps below the conductor
-        genus = (sum(w) - m * (m - 1) // 2) // m
-        if len(small) != self.conductor + 1 - genus:
-            raise DomainError("small_elements must list every member up to the conductor")
+        w = _apery_values(small, conductor + 1, small[1] if conductor else 1)
+        _check_apery(w)
+        object.__setattr__(self, "_w", w)
+        if self.small_elements != small:
+            raise DomainError(
+                "small_elements must be every member up to the conductor"
+                f" {self.conductor} of the semigroup they generate"
+            )
 
     def __contains__(self, x: int) -> bool:
         return self.contains(x)
 
     def contains(self, x: int) -> bool:
         """Membership test; true for every x >= conductor."""
-        w = self.apery.values
+        w = self._w
         return x >= 0 and x >= w[x % len(w)]
 
     @property
     def multiplicity(self) -> int:
         """Least positive element; 1 when S is all of N."""
-        if self.conductor == 0:
-            return 1
-        return self.small_elements[1]
+        return len(self._w)
+
+    @property
+    def conductor(self) -> int:
+        """Least c with every integer >= c in S: max(w) - m + 1."""
+        return max(self._w) - len(self._w) + 1
 
     @property
     def frobenius(self) -> int:
@@ -113,20 +140,32 @@ class NumericalSemigroup:
 
     @property
     def genus(self) -> int:
-        """Number of gaps (positive integers outside S)."""
-        return self.conductor - (len(self.small_elements) - 1)
+        """Number of gaps (positive integers outside S): by Selmer, the
+        sum of the Kunz coordinates (w[i] - i) / m."""
+        w = self._w
+        m = len(w)
+        return (sum(w) - m * (m - 1) // 2) // m
+
+    @property
+    def small_elements(self) -> tuple[int, ...]:
+        """Members up to and including the conductor, ascending; O(c),
+        built on each read."""
+        w = self._w
+        m = len(w)
+        return tuple(x for x in range(self.conductor + 1) if x >= w[x % m])
 
     def gaps(self) -> list[int]:
-        return [x for x in range(1, self.conductor) if not self.contains(x)]
+        w = self._w
+        m = len(w)
+        return [x for x in range(1, self.conductor) if x < w[x % m]]
 
-    @cached_property
+    @property
     def apery(self) -> AperyData:
         """Apery set with respect to the multiplicity, plus the Kunz
         coefficients read off from it."""
-        m = self.multiplicity
-        values = _apery_values(self.small_elements, self.conductor, m)
-        kunz = tuple((values[i] - i) // m for i in range(1, m))
-        return AperyData(values=values, kunz=kunz)
+        w = self._w
+        m = len(w)
+        return AperyData(values=w, kunz=tuple((w[i] - i) // m for i in range(1, m)))
 
     def to_json_dict(self) -> dict:
         """Wire form; field order is part of the interface."""
@@ -149,19 +188,24 @@ class NumericalSemigroup:
 NATURALS = NumericalSemigroup(small_elements=(0,), conductor=0)
 
 
+def _over_ceiling(conductor: int) -> ResourceBound:
+    return ResourceBound(f"conductor {conductor} is over the ceiling {MAX_CONDUCTOR}")
+
+
 def from_apery(values: Sequence[int]) -> NumericalSemigroup:
-    """The semigroup whose Apery tuple is ``values``, given values[i] % m == i
-    for m = len(values); DomainError if Kunz's inequalities fail, and
-    ResourceBound before small_elements is built when the conductor
-    exceeds MAX_CONDUCTOR."""
-    m = len(values)
-    conductor = max(values) - m + 1
+    """The semigroup whose Apery tuple is ``values``, for the multiplicity
+    m = len(values).  ResourceBound when the conductor max(values) - m + 1
+    exceeds MAX_CONDUCTOR, checked first; DomainError unless values[0] is
+    0, values[i] = k*m + i with k >= 1 for 0 < i < m, and Kunz's
+    inequalities hold."""
+    w = tuple(values)
+    conductor = max(w, default=0) - len(w) + 1
     if conductor > MAX_CONDUCTOR:
-        raise ResourceBound(
-            f"conductor {conductor} is over the ceiling {MAX_CONDUCTOR}"
-        )
-    small = tuple(x for x in range(conductor + 1) if x >= values[x % m])
-    return NumericalSemigroup(small_elements=small, conductor=conductor)
+        raise _over_ceiling(conductor)
+    _check_apery(w)
+    semigroup = object.__new__(NumericalSemigroup)
+    object.__setattr__(semigroup, "_w", w)
+    return semigroup
 
 
 def from_generators(gens: Iterable[int]) -> NumericalSemigroup:
@@ -185,6 +229,10 @@ def from_generators(gens: Iterable[int]) -> NumericalSemigroup:
         raise ResourceBound(
             f"multiplicity {m} puts the conductor over the ceiling {MAX_CONDUCTOR}"
         )
+    if len(gen_list) == 2:  # Sylvester: two coprime a < b give (a-1)(b-1)
+        conductor = (m - 1) * (gen_list[1] - 1)
+        if conductor > MAX_CONDUCTOR:
+            raise _over_ceiling(conductor)
     # Nijenhuis: w[r] is the shortest path 0 -> r over edges r -> r + g (mod m)
     values = [0] + [math.inf] * (m - 1)
     heap = [(0, 0)]
@@ -216,9 +264,10 @@ def enumerate_semigroups(
     Kunz coordinates, so the word-side census can be checked against this
     one as an independent oracle.
 
-    Output is sorted ascending-lexicographically by small_elements.
-    Raises ResourceBound if the search tree exceeds ``search_ceiling``
-    nodes.
+    Output is ascending-lexicographic by small_elements, with no sort:
+    the multiplicities run in ascending order and each position tries
+    "x joins S" before "x is a gap".  Raises ResourceBound if the search
+    tree exceeds ``search_ceiling`` nodes.
     """
     if max_multiplicity < 1:
         raise DomainError("max_multiplicity must be >= 1")
@@ -228,15 +277,8 @@ def enumerate_semigroups(
     results: list[NumericalSemigroup] = [NATURALS]
     nodes = 0
 
-    def finalize(m: int, members: list[int], gap_max: int) -> None:
-        # the conductor itself may sit at the search bound, one past the
-        # last decided position
-        conductor = gap_max + 1
-        small = tuple(x for x in members if x < conductor) + (conductor,)
-        results.append(NumericalSemigroup(small_elements=small, conductor=conductor))
-
     def extend(m: int, bound: int, members: list[int], member_set: set[int],
-               x: int, gap_max: int) -> None:
+               x: int) -> None:
         nonlocal nodes
         nodes += 1
         if nodes > search_ceiling:
@@ -244,12 +286,13 @@ def enumerate_semigroups(
                 f"gap-set search exceeded {search_ceiling} nodes"
             )
         if x >= bound:
-            finalize(m, members, gap_max)
+            # every integer from the search bound on is a member
+            results.append(from_apery(_apery_values(members, bound, m)))
             return
         # x joins S
         members.append(x)
         member_set.add(x)
-        extend(m, bound, members, member_set, x + 1, gap_max)
+        extend(m, bound, members, member_set, x + 1)
         member_set.discard(x)
         members.pop()
         # x stays a gap, unless closure already forces it in
@@ -260,14 +303,13 @@ def enumerate_semigroups(
                 break
             if (x - a) in member_set:
                 return
-        extend(m, bound, members, member_set, x + 1, x)
+        extend(m, bound, members, member_set, x + 1)
 
     for m in range(2, max_multiplicity + 1):
         if max_depth < 1:
             break  # every semigroup with a gap has depth >= 1
         bound = m * max_depth
         # 1 .. m-1 are gaps by definition of the multiplicity
-        extend(m, bound, [0, m], {0, m}, m + 1, m - 1)
+        extend(m, bound, [0, m], {0, m}, m + 1)
 
-    results.sort(key=lambda s: s.small_elements)
     return results

@@ -1,3 +1,5 @@
+import heapq
+
 import pytest
 
 from kunzlab import (
@@ -9,6 +11,7 @@ from kunzlab import (
     Word,
     enumerate_semigroups,
     from_generators,
+    from_semigroup,
     to_semigroup,
 )
 from kunzlab.semigroups import MAX_CONDUCTOR, from_apery
@@ -74,6 +77,24 @@ def test_construction_ceiling():
         from_apery((0, MAX_CONDUCTOR + 3))
     with pytest.raises(ResourceBound, match="conductor"):
         to_semigroup(Word((MAX_CONDUCTOR // 2 + 1,)))
+
+
+def test_two_generator_ceiling_before_shortest_paths(monkeypatch):
+    # Sylvester's (a-1)(b-1) refuses [2**21, 2**21 + 1] without the
+    # shortest-path search over 2**21 residues
+    def no_search(heap):
+        raise AssertionError("shortest paths ran")
+
+    monkeypatch.setattr(heapq, "heappop", no_search)
+    with pytest.raises(ResourceBound, match=r"conductor \d+ is over the ceiling"):
+        from_generators([MAX_CONDUCTOR, MAX_CONDUCTOR + 1])
+
+
+def test_from_apery_checks_its_precondition():
+    # (0, 1): 1 is not 1*2 + 1; (0, 5, 4): 5 and 4 sit in the wrong classes
+    for values in [(0, 1), (0, 5, 4), (), (1,), (0, -1)]:
+        with pytest.raises(DomainError):
+            from_apery(values)
 
 
 def test_contains():
@@ -165,12 +186,26 @@ def test_enumerate_m2_one_per_depth(q):
 
 
 def test_enumerate_is_sorted_and_valid():
-    sgs = enumerate_semigroups(5, 3)
-    assert sgs == sorted(sgs, key=lambda s: s.small_elements)
-    assert len(set(sgs)) == len(sgs)
-    for s in sgs:
-        assert s.multiplicity <= 5
-        assert s.depth <= 3
+    for max_m, max_depth in [(5, 3), (7, 4)]:
+        sgs = enumerate_semigroups(max_m, max_depth)
+        assert sgs == sorted(sgs, key=lambda s: s.small_elements)
+        assert len(set(sgs)) == len(sgs)
+        for s in sgs:
+            assert s.multiplicity <= max_m
+            assert s.depth <= max_depth
+
+
+def test_every_construction_route_gives_the_same_object():
+    for s in enumerate_semigroups(7, 4):
+        routes = [
+            NumericalSemigroup(small_elements=s.small_elements, conductor=s.conductor),
+            from_apery(s.apery.values),
+            to_semigroup(from_semigroup(s)),
+        ]
+        for t in routes:
+            assert t == s and hash(t) == hash(s)
+            assert not hasattr(t, "__dict__")
+        assert s.genus == len(s.gaps())
 
 
 def test_enumerate_resource_bound():
