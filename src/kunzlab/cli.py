@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import lba
@@ -45,24 +44,10 @@ from .words import (
     witness_nonkunz,
 )
 
-CEILING_ENV = "KUNZLAB_MAX_CANDIDATES"
-
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
-
-
-def _ceiling(args) -> int:
-    if args.max_candidates is not None:
-        return args.max_candidates
-    env = os.environ.get(CEILING_ENV)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise DomainError(f"{CEILING_ENV}={env!r} is not an integer")
-    return DEFAULT_CANDIDATE_CEILING
 
 
 def _emit(obj) -> None:
@@ -97,13 +82,14 @@ def cmd_semigroup(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    ceiling = _ceiling(args)
     if args.count_only:
-        count = count_kunz(args.depth, args.length, max_candidates=ceiling)
+        count = count_kunz(args.depth, args.length,
+                           max_candidates=args.max_candidates)
         print("q,length,count")
         print(f"{args.depth},{args.length},{count}")
     else:
-        words = enumerate_kunz(args.depth, args.length, max_candidates=ceiling)
+        words = enumerate_kunz(args.depth, args.length,
+                               max_candidates=args.max_candidates)
         _emit([str(w) for w in words])
     return EXIT_OK
 
@@ -145,7 +131,7 @@ def cmd_nerode(args) -> int:
 def cmd_pumping(args) -> int:
     try:
         report = bader_moura_refute(args.depth, args.p, args.kmax,
-                                    max_candidates=_ceiling(args))
+                                    max_candidates=args.max_candidates)
     except NoRefutation as exc:
         _emit(exc.report.to_json_list())
         return EXIT_NEGATIVE
@@ -174,7 +160,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", type=int, required=True)
     p.add_argument("--length", type=int, required=True)
     p.add_argument("--count-only", action="store_true")
-    p.add_argument("--max-candidates", type=int, default=None)
+    p.add_argument("--max-candidates", type=int,
+                   default=DEFAULT_CANDIDATE_CEILING)
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("lba", help="run the tape-bounded acceptor on a word")
@@ -200,7 +187,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", type=int, required=True)
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--kmax", type=int, required=True)
-    p.add_argument("--max-candidates", type=int, default=None)
+    p.add_argument("--max-candidates", type=int,
+                   default=DEFAULT_CANDIDATE_CEILING)
     p.set_defaults(func=cmd_pumping)
 
     return parser
@@ -217,7 +205,7 @@ def main(argv=None) -> int:
     except (StepBudgetExceeded, MachineDefinitionError, SelfCheckFailed) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except (DomainError, KunzlabError) as exc:
+    except KunzlabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -1,8 +1,7 @@
-"""Tape-bounded machines: simulator, subroutine macros, and the
-acceptors for the depth-q languages."""
+"""Tape-bounded machines: the simulator and the acceptors for the
+depth-q languages."""
 
 from .machines import MAX_MACHINE_DEPTH, build_k3_machine, build_kn_machine
-from .macros import goto_last_mark, scan_for_symbol, unary_transfer
 from .simulator import (
     ACCEPT,
     BLANK,
@@ -35,8 +34,5 @@ __all__ = [
     "build_k3_machine",
     "build_kn_machine",
     "format_trace",
-    "goto_last_mark",
     "run",
-    "scan_for_symbol",
-    "unary_transfer",
 ]

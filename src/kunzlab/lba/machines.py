@@ -9,6 +9,9 @@ Both machines run five tracks over the input width plus end markers:
     track 5  the input length, in unary; its first cell doubles as the
              origin mark '#' so the head never needs the left marker
 
+Tracks 2-5 hold unary values as mark prefixes anchored at the first
+input cell, so the value k reads as "the rightmost mark sits on cell k".
+
 The depth-3 machine only has to chase one failure shape: two letters 1
 at positions i and j with a 3 at position i+j (any other letter pair
 already sums past every letter of the alphabet, and the shifted second
@@ -50,7 +53,6 @@ from __future__ import annotations
 from functools import lru_cache
 
 from ..errors import DomainError, ResourceBound
-from .macros import goto_last_mark, scan_for_symbol, unary_transfer
 from .simulator import (
     ACCEPT,
     BLANK,
@@ -116,10 +118,8 @@ def build_k3_machine() -> CompiledMachine:
               goto=scan)
 
     # 5: extend the sum to i+j
-    unary_transfer(b, "step5.add", src_track=T3, spent="c", dst_track=T4,
-                   origin_track=T5, origin_symbols=ORIGIN,
-                   on_done="step5.goto", on_overflow="step5.sweep")
-    goto_last_mark(b, "step5.goto", track=T4, marks="1", then="step6.check")
+    _emit_add(b, "step5.add", on_done="step5.goto", on_overflow="step5.sweep")
+    _emit_goto_last(b, "step5.goto", T4, then="step6.check")
     # i+j ran off the tape: abandon the pair, return to the y
     _emit_spend_rest(b, "step5.sweep", then="step5.ff")
     _emit_forward(b, "step5.ff", then="step5.aty")
@@ -260,24 +260,52 @@ def _emit_length_sweep(b, letters, then) -> None:
           goto="step1.scan_need")
     b.add("step1.scan_seen", marker="]", move=LEFT, goto="step1.rewind")
     b.add("step1.scan_seen", write={T5: "1"}, move=RIGHT, goto="step1.scan_seen")
-    scan_for_symbol(b, "step1.rewind", track=T5, symbols=ORIGIN, direction=LEFT,
-                    then=then, at_marker=REJECT)
+    _emit_rewind(b, "step1.rewind", then=then)
+
+
+def _emit_rewind(b, name, then) -> None:
+    """Walk left to the origin and hand control to ``then`` there; an end
+    marker rejects."""
+    b.add(name, when={T5: ORIGIN}, goto=then)
+    b.add(name, marker="[", goto=REJECT)
+    b.add(name, marker="]", goto=REJECT)
+    b.add(name, move=LEFT, goto=name)
+
+
+def _emit_goto_last(b, name, track, then) -> None:
+    """From inside or left of ``track``'s unary prefix, walk right past its
+    end and step back onto the cell whose index is its value."""
+    b.add(name, when={track: "1"}, move=RIGHT, goto=name)
+    b.add(name, marker="]", move=LEFT, goto=then)
+    b.add(name, move=LEFT, goto=then)
+
+
+def _emit_add(b, name, on_done, on_overflow) -> None:
+    """Append one track-4 unit per unspent track-3 mark, spending the
+    marks right to left as 'c'.  Enter at ``name.take`` at or right of
+    the rightmost unspent mark; leave for ``on_done`` on the origin once
+    track 3 is spent, or for ``on_overflow`` on the last cell when a unit
+    would land past the right marker (the sum exceeds the length)."""
+    take, put = name + ".take", name + ".put"
+    b.add(take, when={T3: "1"}, write={T3: "c"}, move=RIGHT, goto=put)
+    b.add(take, when={T5: ORIGIN, T3: "c"}, goto=on_done)
+    b.add(take, when={T3: {"c", BLANK}}, move=LEFT, goto=take)
+    b.add(put, when={T4: "1"}, move=RIGHT, goto=put)
+    b.add(put, when={T4: BLANK}, write={T4: "1"}, move=LEFT, goto=take)
+    b.add(put, marker="]", move=LEFT, goto=on_overflow)
 
 
 def _emit_double(b, tag, on_overflow) -> None:
     """Phase 3's prelude: put i+i on track 4 and park the head on cell 2i."""
-    scan_for_symbol(b, f"step3.rewind{tag}", track=T5, symbols=ORIGIN,
-                    direction=LEFT, then=f"step3.copy{tag}", at_marker=REJECT)
+    _emit_rewind(b, f"step3.rewind{tag}", then=f"step3.copy{tag}")
     b.add(f"step3.copy{tag}", when={T2: "1"}, write={T4: "1"}, move=RIGHT,
           goto=f"step3.copy{tag}")
     b.add(f"step3.copy{tag}", when={T2: BLANK}, move=LEFT,
           goto=f"step3.add{tag}.take")
     b.add(f"step3.copy{tag}", marker="]", move=LEFT, goto=f"step3.add{tag}.take")
-    unary_transfer(b, f"step3.add{tag}", src_track=T3, spent="c", dst_track=T4,
-                   origin_track=T5, origin_symbols=ORIGIN,
-                   on_done=f"step3.goto{tag}", on_overflow=on_overflow)
-    goto_last_mark(b, f"step3.goto{tag}", track=T4, marks="1",
-                   then=f"step3.check{tag}")
+    _emit_add(b, f"step3.add{tag}", on_done=f"step3.goto{tag}",
+              on_overflow=on_overflow)
+    _emit_goto_last(b, f"step3.goto{tag}", T4, then=f"step3.check{tag}")
 
 
 def _emit_probe(b, phase, tag, letters, *, limit, home, then) -> None:
@@ -306,8 +334,7 @@ def _emit_overflow_tail(b, phase, tag, letters, *, filled, limit, then) -> None:
     osweep, ofill = f"{phase}.osweep{tag}", f"{phase}.ofill{tag}"
     oprobe, oback = f"{phase}.oprobe{tag}", f"{phase}.oback{tag}"
     ocheck = f"{phase}.ocheck{tag}"
-    scan_for_symbol(b, osweep, track=T5, symbols=ORIGIN, direction=LEFT,
-                    then=ofill, at_marker=REJECT)
+    _emit_rewind(b, osweep, then=ofill)
     b.add(ofill, when={T4: "o"}, move=RIGHT, goto=ofill)
     b.add(ofill, when={T4: "1"}, write={T4: "o"}, goto=filled)
     b.add(oprobe, when={T4: "o"}, move=RIGHT, goto=oprobe)
@@ -330,7 +357,7 @@ def _emit_forward(b, name, then) -> None:
 
 def _emit_back_to_x(b, seek, atx, x, then) -> None:
     """Go to the x, whose index track 2 holds, and step right of it."""
-    goto_last_mark(b, seek, track=T2, marks="1", then=atx)
+    _emit_goto_last(b, seek, T2, then=atx)
     b.add(atx, when={T1: x}, move=RIGHT, goto=then)
 
 

@@ -221,9 +221,6 @@ class CompiledMachine:
     rules: tuple[tuple[tuple[Rule, int], ...], ...]
     table: list[dict[int, tuple[int, int, int]]]
 
-    def state_count(self) -> int:
-        return len(self.state_names)
-
     def resolve(self, state: int, cell: int) -> tuple[int, int, int]:
         """The entry for (state, cell): the first of the state's rules that
         matches the cell, stored in the table for later reads.  Raises

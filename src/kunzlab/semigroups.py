@@ -181,9 +181,6 @@ class NumericalSemigroup:
             "genus": self.genus,
         }
 
-    def __repr__(self) -> str:
-        return f"NumericalSemigroup(small_elements={self.small_elements!r})"
-
 
 NATURALS = NumericalSemigroup(small_elements=(0,), conductor=0)
 
@@ -277,8 +274,10 @@ def enumerate_semigroups(
     results: list[NumericalSemigroup] = [NATURALS]
     nodes = 0
 
-    def extend(m: int, bound: int, members: list[int], member_set: set[int],
+    def extend(m: int, bound: int, members: list[int], mask: int, sums: int,
                x: int) -> None:
+        # mask has bit a for each member a > 0, sums bit a + b for each
+        # pair of them; x is forced into S iff bit x of sums is set
         nonlocal nodes
         nodes += 1
         if nodes > search_ceiling:
@@ -291,25 +290,18 @@ def enumerate_semigroups(
             return
         # x joins S
         members.append(x)
-        member_set.add(x)
-        extend(m, bound, members, member_set, x + 1)
-        member_set.discard(x)
+        joined = mask | 1 << x
+        extend(m, bound, members, joined, sums | joined << x, x + 1)
         members.pop()
         # x stays a gap, unless closure already forces it in
-        for a in members:
-            if a == 0:
-                continue
-            if a * 2 > x:
-                break
-            if (x - a) in member_set:
-                return
-        extend(m, bound, members, member_set, x + 1)
+        if not sums >> x & 1:
+            extend(m, bound, members, mask, sums, x + 1)
 
     for m in range(2, max_multiplicity + 1):
         if max_depth < 1:
             break  # every semigroup with a gap has depth >= 1
         bound = m * max_depth
         # 1 .. m-1 are gaps by definition of the multiplicity
-        extend(m, bound, [0, m], {0, m}, m + 1)
+        extend(m, bound, [0, m], 1 << m, 1 << 2 * m, m + 1)
 
     return results

@@ -1,3 +1,5 @@
+import types
+
 import pytest
 
 from kunzlab import (
@@ -7,6 +9,7 @@ from kunzlab import (
     StepBudgetExceeded,
     Word,
 )
+from kunzlab import lba
 from kunzlab.lba import (
     ACCEPT,
     BLANK,
@@ -15,11 +18,9 @@ from kunzlab.lba import (
     REJECT,
     RIGHT,
     format_trace,
-    goto_last_mark,
     run,
-    scan_for_symbol,
-    unary_transfer,
 )
+from kunzlab.lba.machines import T3, T4, T5, _emit_add, _emit_goto_last
 
 
 def two_track_builder(**kwargs):
@@ -154,25 +155,17 @@ def test_run_result_json():
     }
 
 
-# --- the subroutine macros, each on a purpose-built toy machine ---------
-
-
-def test_scan_for_symbol_finds_and_rejects_at_marker():
-    b = two_track_builder(start="scan")
-    scan_for_symbol(b, "scan", track=0, symbols="3", direction=RIGHT,
-                    then="found", at_marker=REJECT)
-    b.add("found", when={0: "3"}, goto=ACCEPT)
-    m = b.compile()
-    assert run(m, Word((1, 1, 3, 1))).accepted
-    assert run(m, Word((1, 1))).verdict == "reject"
+# --- the machines' unary emitters, each on a purpose-built toy machine ---
 
 
 def unary_builder():
-    """Four tracks: input, source value, destination value, origin mark."""
+    """Five tracks like the machines': input, an unused index track, then
+    the source value, the destination value and the '#' origin mark."""
     return MachineBuilder(
         "unary",
         track_symbols=[
             ("1", "2", "3"),
+            (BLANK,),
             (BLANK, "1", "c"),
             (BLANK, "1"),
             (BLANK, "#"),
@@ -188,12 +181,12 @@ def setup_unary_tracks(b):
     under every 1 or 2, the destination track only under 1s, and the
     origin track a # on the first cell; then rewind there.  Letters 3 are
     padding."""
-    b.add("mark", write={3: "#"}, goto="lay")
-    b.add("lay", when={0: "1"}, write={1: "1", 2: "1"}, move=RIGHT, goto="lay")
-    b.add("lay", when={0: "2"}, write={1: "1"}, move=RIGHT, goto="lay")
+    b.add("mark", write={T5: "#"}, goto="lay")
+    b.add("lay", when={0: "1"}, write={T3: "1", T4: "1"}, move=RIGHT, goto="lay")
+    b.add("lay", when={0: "2"}, write={T3: "1"}, move=RIGHT, goto="lay")
     b.add("lay", when={0: "3"}, move=RIGHT, goto="lay")
     b.add("lay", marker="]", move=LEFT, goto="rewind")
-    b.add("rewind", when={3: "#"}, goto="start_op")
+    b.add("rewind", when={T5: "#"}, goto="start_op")
     b.add("rewind", move=LEFT, goto="rewind")
 
 
@@ -202,15 +195,13 @@ def test_unary_transfer_adds_two_and_three():
     b = unary_builder()
     setup_unary_tracks(b)
     b.add("start_op", goto="add.take")
-    unary_transfer(b, "add", src_track=1, spent="c", dst_track=2,
-                   origin_track=3, origin_symbols="#",
-                   on_done="done", on_overflow=REJECT)
+    _emit_add(b, "add", on_done="done", on_overflow=REJECT)
     b.add("done", goto=ACCEPT)
     m = b.compile()
     # word 1,1,2,3,3 gives src = 3, dst = 2; expect five marks
     result = run(m, Word((1, 1, 2, 3, 3)), want_trace=True)
     assert result.accepted
-    assert result.trace[-1].tracks[2] == "[11111]"
+    assert result.trace[-1].tracks[T4] == "[11111]"
     # the transfer ends back on the origin cell
     assert result.trace[-1].head == 1
 
@@ -220,9 +211,7 @@ def test_unary_transfer_overflow_branch():
     b = unary_builder()
     setup_unary_tracks(b)
     b.add("start_op", goto="add.take")
-    unary_transfer(b, "add", src_track=1, spent="c", dst_track=2,
-                   origin_track=3, origin_symbols="#",
-                   on_done=REJECT, on_overflow="over")
+    _emit_add(b, "add", on_done=REJECT, on_overflow="over")
     b.add("over", goto=ACCEPT)
     m = b.compile()
     assert run(m, Word((1, 1, 1, 3, 3))).accepted
@@ -233,10 +222,23 @@ def test_goto_last_mark_lands_on_index():
     b = unary_builder()
     setup_unary_tracks(b)
     b.add("start_op", goto="goto")
-    goto_last_mark(b, "goto", track=2, marks="1", then="landed")
-    b.add("landed", when={2: "1"}, goto=ACCEPT)
+    _emit_goto_last(b, "goto", T4, then="landed")
+    b.add("landed", when={T4: "1"}, goto=ACCEPT)
     b.add("landed", goto=REJECT)
     m = b.compile()
     result = run(m, Word((1, 1, 1, 2, 3)), want_trace=True)
     assert result.accepted
     assert result.trace[-1].head == 3
+
+
+def test_lba_exports_match_all():
+    """Every name in __all__ resolves, and every public attribute other
+    than a submodule is listed, so a stale or forgotten export fails."""
+    assert len(set(lba.__all__)) == len(lba.__all__)
+    for name in lba.__all__:
+        assert hasattr(lba, name), name
+    public = {
+        name for name, value in vars(lba).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert public == set(lba.__all__)

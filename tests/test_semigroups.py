@@ -149,6 +149,12 @@ def test_json_dict_field_order():
                     "depth", "apery", "kunz", "genus"]
 
 
+def test_repr_is_the_apery_tuple():
+    # O(m) to build, whatever the conductor (c = 2,096,700 here)
+    for s in (NATURALS, from_generators({3, 5, 7}), from_generators([1447, 1451])):
+        assert repr(s) == f"NumericalSemigroup(_w={s.apery.values!r})"
+
+
 def test_constructor_validation():
     with pytest.raises(DomainError):
         NumericalSemigroup(small_elements=(1, 3), conductor=3)  # no 0
