@@ -23,7 +23,8 @@ from .errors import (
     ResourceBound,
     SelfCheckFailed,
 )
-from .words import Word, _letter_bounds, is_kunz, witness_kunz, witness_nonkunz
+from .semigroups import _letter_bounds
+from .words import Word, is_kunz, witness_kunz, witness_nonkunz
 
 DEFAULT_CANDIDATE_CEILING = 10_000_000
 
@@ -146,8 +147,8 @@ def enumerate_kunz(
     A depth-first search that tries letters in ascending order and, the
     length being fixed, places each letter only inside the interval the
     Kunz conditions decided at its position leave open (see
-    words._letter_bounds), so every dead prefix is cut as soon as it is
-    placed.  The ceiling still applies to all q**length candidates.
+    semigroups._letter_bounds), so every dead prefix is cut as soon as it
+    is placed.  The ceiling still applies to all q**length candidates.
     """
     _check_census(q, length, max_candidates)
     if q == 0 or length == 0:

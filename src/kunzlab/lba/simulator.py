@@ -299,9 +299,11 @@ def run(
     the accounting convention in the module docstring.  Raises
     StepBudgetExceeded if no verdict is reached within ``max_steps`` (steps
     grow as Theta(l^3): K_3 needs 1,043,037 for witness_kunz(3, 79), of
-    length 159, so long words pass the default 10^6 without any bug) and
-    LetterOutOfAlphabet for letters the machine was not built for.
+    length 159, so long words pass the default 10^6 without any bug),
+    DomainError for max_steps < 1 and LetterOutOfAlphabet off the alphabet.
     """
+    if max_steps < 1:
+        raise DomainError(f"the step budget must be at least 1, got {max_steps}")
     for letter in word:
         if letter not in machine.input_alphabet:
             raise LetterOutOfAlphabet(

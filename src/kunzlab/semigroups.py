@@ -10,7 +10,9 @@ conductor is max(w) - m + 1, the genus is the sum of the Kunz
 coordinates (Selmer), and the Kunz word is read off w, each in O(m) or
 less.  small_elements, gaps() and the wire form list the members or
 gaps below the conductor, so they are built on demand, in O(c), on each
-read.
+read.  Only from_apery and the small_elements constructor validate w;
+from_generators, words.to_semigroup and enumerate_semigroups derive a
+valid w themselves and store it unchecked.
 """
 
 from __future__ import annotations
@@ -57,28 +59,59 @@ def _apery_values(members: Iterable[int], top: int, m: int) -> tuple[int, ...]:
     return tuple(values)
 
 
+def _letter_bounds(u: Sequence[int], p: int, length: int, q: int) -> tuple[int, int]:
+    """The interval [lo, hi] that letter u_p of a Kunz word of the given
+    length over {1..q} must lie in, given u_1 .. u_{p-1} (u[0] .. u[p-2]).
+
+    Each condition is decided by the largest index it involves: the
+    first (u_i + u_j >= u_{i+j}) when its target p = i + j is placed,
+    which caps u_p; the second (u_i + u_j + 1 >= u_t, t = i+j-(l+1))
+    when j = p is placed, since t < i, which floors u_p.  So a word is
+    Kunz iff every letter lies in its interval, and a prefix with an
+    empty interval ahead of it extends to no Kunz word of this length.
+    """
+    hi = q
+    for i in range(1, p // 2 + 1):
+        s = u[i - 1] + u[p - i - 1]
+        if s < hi:
+            hi = s
+    lo = 1
+    t = 2 * p - length - 1  # the target of the pair (p, p)
+    if t >= 1:
+        lo = max(lo, u[t - 1] // 2)
+        # the pairs (i, p) for i = l+2-p .. p-1 have targets 1 .. t-1
+        shift = length + 1 - p
+        for k in range(t - 1):
+            b = u[k] - u[shift + k] - 1
+            if b > lo:
+                lo = b
+    return lo, hi
+
+
+def _letters_in_bounds(u: Sequence[int]) -> bool:
+    """True iff every letter of u lies in its _letter_bounds interval."""
+    n, q = len(u), max(u, default=0)
+    for p in range(1, n + 1):
+        lo, hi = _letter_bounds(u, p, n, q)
+        if not lo <= u[p - 1] <= hi:
+            return False
+    return True
+
+
 def _check_apery(w: tuple[int, ...]) -> None:
     """DomainError unless w is the Apery tuple of a numerical semigroup
-    of multiplicity m = len(w): w[0] = 0, w[i] = k*m + i with k >= 1 for
-    0 < i < m, and Kunz's inequalities w[i] + w[j] >= w[(i + j) % m]."""
+    of multiplicity m = len(w): integers, w[0] = 0, w[i] = k_i*m + i with
+    k_i >= 1, and Kunz's inequalities, which _letters_in_bounds checks."""
     m = len(w)
+    if not all(isinstance(x, int) for x in w):
+        raise DomainError("an Apery tuple must hold integers")
     if not w or w[0] != 0:
         raise DomainError("an Apery tuple must start with 0")
     for i in range(1, m):
         if w[i] % m != i or w[i] < m:
             raise DomainError(f"w[{i}] = {w[i]} is not k*{m} + {i} with k >= 1")
-    # row i holds throughout once w[i] + min(w[1:]) reaches max(w)
-    top = max(w)
-    least = min(w[1:], default=0)
-    for i in range(1, m):
-        wi = w[i]
-        if wi + least >= top:
-            continue
-        for j in range(i, m):
-            if wi + w[j] < w[(i + j) % m]:
-                raise DomainError(
-                    f"not closed under addition: {wi} + {w[j]} = {wi + w[j]} missing"
-                )
+    if not _letters_in_bounds([(w[i] - i) // m for i in range(1, m)]):
+        raise DomainError("not closed under addition: Kunz's inequalities fail")
 
 
 @dataclass(frozen=True, slots=True)
@@ -189,24 +222,31 @@ def _over_ceiling(conductor: int) -> ResourceBound:
     return ResourceBound(f"conductor {conductor} is over the ceiling {MAX_CONDUCTOR}")
 
 
-def from_apery(values: Sequence[int]) -> NumericalSemigroup:
-    """The semigroup whose Apery tuple is ``values``, for the multiplicity
-    m = len(values).  ResourceBound when the conductor max(values) - m + 1
-    exceeds MAX_CONDUCTOR, checked first; DomainError unless values[0] is
-    0, values[i] = k*m + i with k >= 1 for 0 < i < m, and Kunz's
-    inequalities hold."""
+def _store_apery(values: Iterable[int]) -> NumericalSemigroup:
+    """from_apery without _check_apery, for tuples valid by construction."""
     w = tuple(values)
     conductor = max(w, default=0) - len(w) + 1
     if conductor > MAX_CONDUCTOR:
         raise _over_ceiling(conductor)
-    _check_apery(w)
     semigroup = object.__new__(NumericalSemigroup)
     object.__setattr__(semigroup, "_w", w)
     return semigroup
 
 
+def from_apery(values: Sequence[int]) -> NumericalSemigroup:
+    """The semigroup whose Apery tuple is ``values``, for the multiplicity
+    m = len(values).  ResourceBound when the conductor max(values) - m + 1
+    exceeds MAX_CONDUCTOR, checked first; DomainError unless the values
+    are integers, values[0] is 0, values[i] = k*m + i with k >= 1 for
+    0 < i < m, and Kunz's inequalities hold (see _check_apery)."""
+    semigroup = _store_apery(values)
+    _check_apery(semigroup._w)
+    return semigroup
+
+
 def from_generators(gens: Iterable[int]) -> NumericalSemigroup:
-    """Least submonoid of N containing ``gens``.
+    """Least submonoid of N containing ``gens``; its Apery tuple comes valid
+    from the shortest paths below and is stored unchecked.
 
     Raises NotCofinite when gcd(gens) != 1 (the complement would be
     infinite), DomainError on an empty or nonpositive generator set, and
@@ -242,7 +282,7 @@ def from_generators(gens: Iterable[int]) -> NumericalSemigroup:
             if d + g < values[t]:
                 values[t] = d + g
                 heapq.heappush(heap, (d + g, t))
-    return from_apery(values)
+    return _store_apery(values)
 
 
 def enumerate_semigroups(
@@ -257,9 +297,10 @@ def enumerate_semigroups(
     For each candidate multiplicity m the search decides membership of
     every integer in (m, m*max_depth) one position at a time, pruning a
     branch as soon as declaring x a gap would break additive closure
-    (some a + b = x with a, b already members).  Nothing here knows about
-    Kunz coordinates, so the word-side census can be checked against this
-    one as an independent oracle.
+    (some a + b = x with a, b already members), so every leaf is closed
+    and stored unchecked.  Nothing here knows about Kunz coordinates, so
+    the word-side census can be checked against this one as an
+    independent oracle.
 
     Output is ascending-lexicographic by small_elements, with no sort:
     the multiplicities run in ascending order and each position tries
@@ -286,7 +327,7 @@ def enumerate_semigroups(
             )
         if x >= bound:
             # every integer from the search bound on is a member
-            results.append(from_apery(_apery_values(members, bound, m)))
+            results.append(_store_apery(_apery_values(members, bound, m)))
             return
         # x joins S
         members.append(x)

@@ -11,16 +11,17 @@ Kunz word of depth 0.
 
 Kunz words of length l are in bijection with numerical semigroups of
 multiplicity l + 1: the letters are exactly the Kunz coefficients of the
-Apery set.  Both directions of that bijection live here.
+Apery set.  Both directions of that bijection live here.  is_kunz and
+from_apery's validator share one check, semigroups._letters_in_bounds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from .errors import DomainError, NotKunz
-from .semigroups import NumericalSemigroup, from_apery
+from .semigroups import NumericalSemigroup, _letters_in_bounds, _store_apery
 
 FIRST = "first"
 SECOND = "second"
@@ -85,46 +86,9 @@ class Violation:
         return {"kind": self.kind, "i": self.i, "j": self.j, "target": self.target}
 
 
-def _letter_bounds(u: Sequence[int], p: int, length: int, q: int) -> tuple[int, int]:
-    """The interval [lo, hi] that letter u_p of a Kunz word of the given
-    length over {1..q} must lie in, given u_1 .. u_{p-1} (u[0] .. u[p-2]).
-
-    Each condition is decided by the largest index it involves: the
-    first (u_i + u_j >= u_{i+j}) when its target p = i + j is placed,
-    which caps u_p; the second (u_i + u_j + 1 >= u_t, t = i+j-(l+1))
-    when j = p is placed, since t < i, which floors u_p.  So a word is
-    Kunz iff every letter lies in its interval, and a prefix with an
-    empty interval ahead of it extends to no Kunz word of this length.
-    """
-    hi = q
-    for i in range(1, p // 2 + 1):
-        s = u[i - 1] + u[p - i - 1]
-        if s < hi:
-            hi = s
-    lo = 1
-    t = 2 * p - length - 1  # the target of the pair (p, p)
-    if t >= 1:
-        lo = max(lo, u[t - 1] // 2)
-        # the pairs (i, p) for i = l+2-p .. p-1 have targets 1 .. t-1
-        shift = length + 1 - p
-        for k in range(t - 1):
-            b = u[k] - u[shift + k] - 1
-            if b > lo:
-                lo = b
-    return lo, hi
-
-
 def is_kunz(word: Word) -> bool:
-    """True iff every letter lies in its _letter_bounds interval, that
-    is, no Kunz condition fails.  The empty word passes."""
-    u = word.letters
-    n = len(u)
-    q = word.depth
-    for p in range(1, n + 1):
-        lo, hi = _letter_bounds(u, p, n, q)
-        if not lo <= u[p - 1] <= hi:
-            return False
-    return True
+    """True iff no Kunz condition fails.  The empty word passes."""
+    return _letters_in_bounds(word.letters)
 
 
 def violations(word: Word) -> list[Violation]:
@@ -189,14 +153,12 @@ def to_semigroup(word: Word) -> NumericalSemigroup:
     Length l gives multiplicity m = l + 1, and letter u_i is the Apery
     element u_i*m + i; the empty word gives N itself.  Raises NotKunz
     when the word fails the Kunz conditions (the bijection only covers
-    Kunz words).
+    Kunz words); that is the only check its Apery tuple gets.
     """
     if not is_kunz(word):
         raise NotKunz(f"{word} violates the Kunz conditions")
     m = len(word) + 1
-    return from_apery(
-        (0,) + tuple(u * m + i for i, u in enumerate(word.letters, start=1))
-    )
+    return _store_apery([0] + [u * m + i for i, u in enumerate(word.letters, 1)])
 
 
 def from_semigroup(semigroup: NumericalSemigroup) -> Word:

@@ -180,6 +180,20 @@ def test_lba_step_budget_is_not_a_usage_error():
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize("budget", ["-1", "0"])
+def test_lba_step_budget_below_one_is_a_usage_error(budget):
+    env = dict(os.environ, PYTHONPATH=str(Path(kunzlab.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "kunzlab", "lba", "--depth", "3", "--word",
+         "1,2,3", "--max-steps", budget],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
 def test_lba_trace_goes_to_stderr(capsys):
     code, out, err = run_cli(capsys, "lba", "--depth", "3", "--word", "1,2,3",
                              "--trace")

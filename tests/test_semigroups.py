@@ -14,6 +14,7 @@ from kunzlab import (
     from_semigroup,
     to_semigroup,
 )
+from kunzlab import semigroups
 from kunzlab.semigroups import MAX_CONDUCTOR, from_apery
 from conftest import kunz_tuple_ok, naive_conductor, naive_members
 
@@ -45,8 +46,11 @@ def test_from_generators_rejects_bad_input():
         from_generators({0, 3})
 
 
-@pytest.mark.parametrize("gens", [{2, 3}, {4, 9, 11}, {6, 10, 15}, {5, 7},
-                                  {6, 9, 20, 12}, {11, 7, 13, 8}])
+ORACLE_GENERATOR_SETS = [{2, 3}, {4, 9, 11}, {6, 10, 15}, {5, 7},
+                         {6, 9, 20, 12}, {11, 7, 13, 8}]
+
+
+@pytest.mark.parametrize("gens", ORACLE_GENERATOR_SETS)
 def test_from_generators_matches_naive_oracle(gens):
     limit = 3 * max(gens) * min(gens)
     members = naive_members(gens, limit)
@@ -92,7 +96,8 @@ def test_two_generator_ceiling_before_shortest_paths(monkeypatch):
 
 def test_from_apery_checks_its_precondition():
     # (0, 1): 1 is not 1*2 + 1; (0, 5, 4): 5 and 4 sit in the wrong classes
-    for values in [(0, 1), (0, 5, 4), (), (1,), (0, -1)]:
+    # (0, 3.0): equal to (0, 3), but not a tuple of integers
+    for values in [(0, 1), (0, 5, 4), (), (1,), (0, -1), (0, 3.0)]:
         with pytest.raises(DomainError):
             from_apery(values)
 
@@ -212,6 +217,26 @@ def test_every_construction_route_gives_the_same_object():
             assert t == s and hash(t) == hash(s)
             assert not hasattr(t, "__dict__")
         assert s.genus == len(s.gaps())
+    # the public validator accepts every tuple the shortest paths store
+    for gens in ORACLE_GENERATOR_SETS + [[997, 1009]]:
+        s = from_generators(gens)
+        assert from_apery(s.apery.values) == s
+
+
+def test_tuples_are_validated_where_they_enter(monkeypatch):
+    # only from_apery and the small_elements constructor run the validator;
+    # the package's own derivations store their tuples unchecked
+    def refuse(w):
+        raise AssertionError("validator ran")
+
+    monkeypatch.setattr(semigroups, "_check_apery", refuse)
+    from_generators([997, 1009])
+    to_semigroup(Word((2, 1)))
+    enumerate_semigroups(5, 3)
+    with pytest.raises(AssertionError, match="validator ran"):
+        from_apery((0, 5, 7))
+    with pytest.raises(AssertionError, match="validator ran"):
+        NumericalSemigroup(small_elements=(0, 3, 5), conductor=5)
 
 
 def test_enumerate_resource_bound():

@@ -17,6 +17,7 @@ from kunzlab import (
     witness_kunz,
     witness_nonkunz,
 )
+from kunzlab.semigroups import from_apery
 from conftest import all_words, kunz_tuple_ok
 
 
@@ -61,10 +62,20 @@ def test_violations_sorted_and_consistent():
 
 
 def test_interval_check_scan_and_definition_agree():
-    # is_kunz (per-letter intervals), violations (pair scan) and the
-    # definition in conftest decide every short word alike
+    # is_kunz (per-letter intervals), violations (pair scan), the
+    # definition in conftest and from_apery's validator on the matching
+    # Apery tuple decide every short word alike
     for w in all_words(range(1, 6), 6):
-        assert is_kunz(w) == (not violations(w)) == kunz_tuple_ok(w.letters)
+        ok = kunz_tuple_ok(w.letters)
+        assert is_kunz(w) == (not violations(w)) == ok
+        m = len(w) + 1
+        values = (0,) + tuple(u * m + i for i, u in enumerate(w, start=1))
+        try:
+            from_apery(values)
+        except DomainError:
+            assert not ok
+        else:
+            assert ok
 
 
 def test_violation_json():
