@@ -27,6 +27,12 @@ from .semigroups import _letter_bounds
 from .words import Word, is_kunz, witness_kunz, witness_nonkunz
 
 DEFAULT_CANDIDATE_CEILING = 10_000_000
+# Largest nerode_evidence run, in letter pairs: comb(cutoff, 2)
+# separations, each scanning words of length up to l = (q-1)*cutoff + 1
+# in O(l^2).  Measured (2-CPU VM, Python 3.11), (q, cutoff): (3, 79) is
+# 7.8e7 pairs in 2.0 s, (5, 60) 1.0e8 in 1.1 s, (12, 36) 9.9e7 in 0.7 s,
+# (3, 100) 2.0e8 in 4.8 s.
+MAX_NERODE_PAIRS = 100_000_000
 
 
 @dataclass(frozen=True)
@@ -216,12 +222,20 @@ def nerode_evidence(q: int, cutoff: int) -> NerodeReport:
     leading block and breaks the first Kunz condition.  Every separation
     is re-verified through the membership scan before being reported, so
     the report doubles as a machine-checked lower bound: more than
-    ``cutoff`` accepter states are needed at this cutoff.
+    ``cutoff`` accepter states are needed at this cutoff.  ResourceBound,
+    up front, when that scanning would exceed MAX_NERODE_PAIRS letter
+    pairs.
     """
     if q < 3:
         raise DomainError("K_0, K_1, K_2 are regular; need q >= 3")
     if cutoff < 2:
         raise DomainError("need at least two prefixes to separate")
+    pairs = comb(cutoff, 2) * ((q - 1) * cutoff + 1) ** 2
+    if pairs > MAX_NERODE_PAIRS:
+        raise ResourceBound(
+            f"depth {q} and cutoff {cutoff} need {pairs} letter pairs,"
+            f" over the ceiling {MAX_NERODE_PAIRS}"
+        )
     separations = []
     for i in range(1, cutoff + 1):
         suffix = Word(witness_kunz(q, i).letters[i:])

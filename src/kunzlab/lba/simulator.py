@@ -14,6 +14,16 @@ grow with the distinct pairs runs visit, never with states x cells.
 Every later read is a plain dict lookup, which keeps exhaustive oracle
 sweeps over thousands of inputs affordable.
 
+Beside the table, each (state, direction) pair keeps a sweep set: the
+cells whose resolved entry in that state writes nothing, moves that way
+and stays in the state.  Most steps of the shipped machines are such
+passes over a stretch of tape, so an untraced run takes a whole stretch
+in one inner loop (pos += d while tape[pos] is in the sweep set) and
+adds its length to the step count.  The sets fill as resolve stores
+entries, so they are as lazy as the table; end-marker cells never join
+one, which stops every sweep at the tape's ends.  A traced run
+single-steps.
+
 Cell accounting convention: cells_used reported by a run is
 
     track_count * (number of distinct head positions visited),
@@ -196,6 +206,7 @@ class MachineBuilder:
             letter_cell=letter_cell,
             rules=rules,
             table=[{} for _ in state_names],
+            sweeps={},
         )
 
 
@@ -207,6 +218,13 @@ class CompiledMachine:
     with the next-state ids -1 and -2 standing for accept and reject.  A
     row starts empty and gains an entry the first time a run reads that
     (state, cell) pair, so the table holds only the pairs runs reached.
+
+    sweeps[state_id, move] is the set of cell_ids whose stored entry in
+    that state is (cell_id, move, state_id) with move != 0: a pass that
+    writes nothing.  It is created by the first such entry resolve
+    stores and grows with later ones, so once resolve returns every cell
+    in it is a key of table[state_id]; the end markers (ids 0 and 1)
+    never join it.
     """
 
     name: str
@@ -220,10 +238,12 @@ class CompiledMachine:
     letter_cell: dict[int, int]
     rules: tuple[tuple[tuple[Rule, int], ...], ...]
     table: list[dict[int, tuple[int, int, int]]]
+    sweeps: dict[tuple[int, int], set[int]]
 
     def resolve(self, state: int, cell: int) -> tuple[int, int, int]:
         """The entry for (state, cell): the first of the state's rules that
-        matches the cell, stored in the table for later reads.  Raises
+        matches the cell, stored in the table for later reads, and in the
+        state's sweep set when it is a pass.  Raises
         MachineDefinitionError, and stores nothing, when no rule matches."""
         symbols = self.cells[cell]
         marker = symbols[0] if cell < 2 else None
@@ -238,7 +258,14 @@ class CompiledMachine:
                 for track, symbol in rule.write:
                     new[track] = symbol
                 new_id = self.cell_ids[tuple(new)]
-            entry = self.table[state][cell] = (new_id, rule.move, target)
+            entry = (new_id, rule.move, target)
+            if new_id == cell and target == state and rule.move:
+                # before the entry is stored, so that a run reading the
+                # entry in another thread finds its sweep set
+                sweep = self.sweeps.setdefault((state, rule.move), set())
+                if cell > 1:  # a marker stops every sweep
+                    sweep.add(cell)
+            self.table[state][cell] = entry
             return entry
         raise MachineDefinitionError(
             f"{self.name}: state {self.state_names[state]!r} has no rule "
@@ -287,6 +314,12 @@ def _render_tracks(machine: CompiledMachine, tape: list[int]) -> tuple[str, ...]
     return tuple(rows)
 
 
+def _over_budget(
+    machine: CompiledMachine, max_steps: int, word: Word
+) -> StepBudgetExceeded:
+    return StepBudgetExceeded(f"{machine.name} passed {max_steps} steps on {word!s}")
+
+
 def run(
     machine: CompiledMachine,
     word: Word,
@@ -296,7 +329,12 @@ def run(
     """Deterministic simulation of ``machine`` on ``word``.
 
     Halts with a verdict, the step count, and the cells_used total under
-    the accounting convention in the module docstring.  Raises
+    the accounting convention in the module docstring.  Without a trace,
+    a step that passes a cell (writes nothing, moves, keeps its state)
+    is followed by the whole stretch of cells in that state's sweep set
+    in one inner loop; each cell still counts as one step, so steps,
+    cells_used and the budget trip are those of single steps.  With
+    ``want_trace`` every step is taken and recorded singly.  Raises
     StepBudgetExceeded if no verdict is reached within ``max_steps`` (steps
     grow as Theta(l^3): K_3 needs 1,043,037 for witness_kunz(3, 79), of
     length 159, so long words pass the default 10^6 without any bug),
@@ -317,6 +355,7 @@ def run(
     state = machine.start_id
     steps = 0
     table = machine.table
+    sweeps = machine.sweeps
     trace: list[TraceEntry] | None = [] if want_trace else None
     truncated = False
 
@@ -340,14 +379,22 @@ def run(
             new_cell, move, nxt = machine.resolve(state, cell)
         steps += 1
         if steps > max_steps:
-            raise StepBudgetExceeded(
-                f"{machine.name} passed {max_steps} steps on {word!s}"
-            )
+            raise _over_budget(machine, max_steps, word)
         tape[pos] = new_cell
         pos += move
         if pos < 0 or pos >= end:
             verdict = REJECT  # moving past an end marker rejects
             break
+        if nxt == state and new_cell == cell and move and trace is None:
+            # a pass: take the rest of the stretch at once; it never halts,
+            # and a marker cell, in no sweep set, ends it inside the tape
+            sweep = sweeps[state, move]
+            start = pos
+            while tape[pos] in sweep:
+                pos += move
+            steps += (pos - start) * move
+            if steps > max_steps:
+                raise _over_budget(machine, max_steps, word)
         if pos < min_pos:
             min_pos = pos
         elif pos > max_pos:

@@ -98,13 +98,19 @@ def _letters_in_bounds(u: Sequence[int]) -> bool:
     return True
 
 
+def _require_ints(values: tuple, what: str) -> None:
+    """DomainError unless every value is an int; run before any arithmetic
+    on input, which would otherwise end in a TypeError."""
+    if not all(isinstance(x, int) for x in values):
+        raise DomainError(f"{what} must hold integers")
+
+
 def _check_apery(w: tuple[int, ...]) -> None:
-    """DomainError unless w is the Apery tuple of a numerical semigroup
-    of multiplicity m = len(w): integers, w[0] = 0, w[i] = k_i*m + i with
-    k_i >= 1, and Kunz's inequalities, which _letters_in_bounds checks."""
+    """DomainError unless w, a tuple of integers, is the Apery tuple of a
+    numerical semigroup of multiplicity m = len(w): w[0] = 0,
+    w[i] = k_i*m + i with k_i >= 1, and Kunz's inequalities, which
+    _letters_in_bounds checks."""
     m = len(w)
-    if not all(isinstance(x, int) for x in w):
-        raise DomainError("an Apery tuple must hold integers")
     if not w or w[0] != 0:
         raise DomainError("an Apery tuple must start with 0")
     for i in range(1, m):
@@ -128,6 +134,7 @@ class NumericalSemigroup:
 
     def __init__(self, small_elements: Sequence[int], conductor: int):
         small = tuple(small_elements)
+        _require_ints(small + (conductor,), "small_elements and conductor")
         if not small or small[0] != 0:
             raise DomainError("small_elements must start with 0")
         if not all(map(operator.lt, small, small[1:])):
@@ -235,12 +242,15 @@ def _store_apery(values: Iterable[int]) -> NumericalSemigroup:
 
 def from_apery(values: Sequence[int]) -> NumericalSemigroup:
     """The semigroup whose Apery tuple is ``values``, for the multiplicity
-    m = len(values).  ResourceBound when the conductor max(values) - m + 1
-    exceeds MAX_CONDUCTOR, checked first; DomainError unless the values
-    are integers, values[0] is 0, values[i] = k*m + i with k >= 1 for
-    0 < i < m, and Kunz's inequalities hold (see _check_apery)."""
-    semigroup = _store_apery(values)
-    _check_apery(semigroup._w)
+    m = len(values).  DomainError unless the values are integers, checked
+    first; then ResourceBound when the conductor max(values) - m + 1
+    exceeds MAX_CONDUCTOR; then DomainError unless values[0] is 0,
+    values[i] = k*m + i with k >= 1 for 0 < i < m, and Kunz's
+    inequalities hold (see _check_apery)."""
+    w = tuple(values)
+    _require_ints(w, "an Apery tuple")
+    semigroup = _store_apery(w)
+    _check_apery(w)
     return semigroup
 
 

@@ -20,11 +20,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .errors import DomainError, NotKunz
+from .errors import DomainError, NotKunz, ResourceBound
 from .semigroups import NumericalSemigroup, _letters_in_bounds, _store_apery
 
 FIRST = "first"
 SECOND = "second"
+
+# Longest witness word built: is_kunz is O(l^2) and takes about 0.6 s at
+# l = 4,001 (2.7 s at 8,001; 2-CPU VM, Python 3.11), and every caller of
+# the witness families scans what it builds.
+MAX_WITNESS_LENGTH = 4096
 
 
 @dataclass(frozen=True)
@@ -114,17 +119,26 @@ def violations(word: Word) -> list[Violation]:
     return out
 
 
+def _check_witness_length(length: int) -> None:
+    if length > MAX_WITNESS_LENGTH:
+        raise ResourceBound(
+            f"a witness of length {length} is over the ceiling {MAX_WITNESS_LENGTH}"
+        )
+
+
 def witness_kunz(q: int, n: int) -> Word:
     """The word 1^n 2^n ... (q-1)^n q, of length (q-1)n + 1.
 
     Its k-th letter is ceil(k/n), and ceilings are superadditive, so both
     Kunz conditions hold: this is a Kunz word of depth q for every
-    q >= 3, n >= 1.
+    q >= 3, n >= 1.  ResourceBound, before building anything, when the
+    length exceeds MAX_WITNESS_LENGTH.
     """
     if q < 3:
         raise DomainError("witness families are defined for depth q >= 3")
     if n < 1:
         raise DomainError("block size n must be >= 1")
+    _check_witness_length((q - 1) * n + 1)
     letters = tuple(v for v in range(1, q) for _ in range(n)) + (q,)
     return Word(letters)
 
@@ -134,11 +148,14 @@ def witness_nonkunz(q: int, n: int, m: int) -> Word:
 
     Padding the leading block breaks the first condition at
     (i, j) = (n+1, n+m): both letters are 1 but position 2n+m+1 holds a 3.
+    ResourceBound, as for witness_kunz, when its length (q-1)n + m + 1
+    exceeds MAX_WITNESS_LENGTH.
     """
     if q < 3:
         raise DomainError("witness families are defined for depth q >= 3")
     if n < 1 or m < 1:
         raise DomainError("block size n and padding m must be >= 1")
+    _check_witness_length((q - 1) * n + m + 1)
     letters = (
         (1,) * (n + m)
         + tuple(v for v in range(2, q) for _ in range(n))

@@ -180,6 +180,28 @@ def test_lba_step_budget_is_not_a_usage_error():
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["witness", "--kunz", "3", "1000000000"],
+    ["witness", "--nonkunz", "3", "1000000000", "1"],
+    ["nerode", "--depth", "5", "--max", "1000000"],
+    ["nerode", "--depth", "1000000000", "--max", "2"],
+    ["pumping", "--depth", "12", "--p", "5", "--kmax", "1"],
+], ids=["witness-kunz", "witness-nonkunz", "nerode-cutoff", "nerode-depth",
+        "pumping-witness"])
+def test_extreme_witness_and_nerode_arguments_are_refused(argv):
+    """Each would build billions of letters or run for hours; the up-front
+    ceilings refuse them before any of that work."""
+    env = dict(os.environ, PYTHONPATH=str(Path(kunzlab.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "kunzlab", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ") and "ceiling" in proc.stderr
+
+
 @pytest.mark.parametrize("budget", ["-1", "0"])
 def test_lba_step_budget_below_one_is_a_usage_error(budget):
     env = dict(os.environ, PYTHONPATH=str(Path(kunzlab.__file__).parents[1]))

@@ -22,6 +22,7 @@ from kunzlab import (
     pump,
     witness_kunz,
 )
+from kunzlab.languages import MAX_NERODE_PAIRS
 from conftest import all_words, naive_census
 
 
@@ -139,6 +140,21 @@ def test_nerode_depth4_example():
 def test_nerode_counts(cutoff):
     report = nerode_evidence(3, cutoff)
     assert len(report.separations) == cutoff * (cutoff - 1) // 2
+
+
+def test_nerode_work_ceiling():
+    # comb(cutoff, 2) separations scanning words of up to 2*cutoff + 1
+    # letters: cutoff 79 is 77,890,761 letter pairs, cutoff 90 is 130,141,395
+    assert 79 * 78 // 2 * 159**2 <= MAX_NERODE_PAIRS < 90 * 89 // 2 * 181**2
+    for q, cutoff in [(3, 90), (5, 10**6), (10**9, 2)]:
+        with pytest.raises(ResourceBound, match="letter pairs, over the ceiling"):
+            nerode_evidence(q, cutoff)
+
+
+def test_pumping_witness_over_the_length_ceiling():
+    # n = 5**12 + 1 would make a witness of about 2.7*10^9 letters
+    with pytest.raises(ResourceBound, match="witness of length"):
+        bader_moura_refute(12, 5, 1)
 
 
 def test_nerode_rejects_regular_depths():

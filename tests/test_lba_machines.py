@@ -12,6 +12,7 @@ from kunzlab import (
     Word,
     in_kunz_language,
     witness_kunz,
+    witness_nonkunz,
 )
 from kunzlab.lba import (
     ACCEPT,
@@ -262,3 +263,88 @@ def test_run_resolves_only_the_entries_it_reads():
 def test_kn_depth_ceiling(depth):
     with pytest.raises(ResourceBound, match="ceiling"):
         build_kn_machine(depth)
+
+
+# ---------------------------------------------------------------------------
+# Sweeps: an untraced run takes a pass over a stretch of cells in one inner
+# loop, a traced run single-steps, so the traced run is the oracle.
+
+SWEEP_MACHINES = [
+    (3, build_k3_machine),
+    (4, lambda: build_kn_machine(4)),
+    (5, lambda: build_kn_machine(5)),
+    (6, lambda: build_kn_machine(6)),
+]
+SWEEP_IDS = ["k3", "k4", "k5", "k6"]
+
+
+def _block_words(q):
+    """Block witnesses and non-witnesses of length 20..60, the shortest
+    and the longest block size in that range."""
+    sizes = [n for n in range(1, 60) if 20 <= (q - 1) * n + 1 <= 59]
+    for n in (sizes[0], sizes[-1]):
+        yield witness_kunz(q, n)
+        yield witness_nonkunz(q, n, 1)
+
+
+def _assert_same_as_single_steps(machine, word):
+    fast = run(machine, word)
+    assert fast.trace is None
+    single = run(machine, word, want_trace=True)
+    assert fast.to_json_dict() == single.to_json_dict()
+    return fast
+
+
+@pytest.mark.parametrize("depth,build", SWEEP_MACHINES, ids=SWEEP_IDS)
+def test_sweeps_match_single_steps_on_short_words(depth, build):
+    """Every word over {1..depth} of length at most 4."""
+    machine = build()
+    for length in range(0, 5):
+        for letters in itertools.product(range(1, depth + 1), repeat=length):
+            _assert_same_as_single_steps(machine, Word(letters))
+
+
+@pytest.mark.parametrize("depth,build", SWEEP_MACHINES, ids=SWEEP_IDS)
+def test_sweeps_match_single_steps_on_block_words(depth, build):
+    """Same verdict, steps and cells as single steps, and the budget trips
+    exactly past the step count: max_steps = steps finishes, one less
+    raises."""
+    machine = build()
+    for word in _block_words(depth):
+        result = _assert_same_as_single_steps(machine, word)
+        assert run(machine, word, max_steps=result.steps) == result
+        with pytest.raises(StepBudgetExceeded,
+                           match=rf" passed {result.steps - 1} steps on "):
+            run(machine, word, max_steps=result.steps - 1)
+
+
+def test_every_budget_below_the_step_count_trips(k3_machine):
+    word = witness_kunz(3, 9)
+    steps = run(k3_machine, word).steps
+    assert steps == 2_277
+    for budget in range(1, steps + 1):
+        if budget < steps:
+            with pytest.raises(StepBudgetExceeded) as exc:
+                run(k3_machine, word, max_steps=budget)
+            assert str(exc.value) == f"{k3_machine.name} passed {budget} steps on {word}"
+        else:
+            assert run(k3_machine, word, max_steps=budget).steps == steps
+
+
+@pytest.mark.parametrize("depth,build", SWEEP_MACHINES, ids=SWEEP_IDS)
+def test_sweep_sets_hold_only_resolved_passes(depth, build):
+    """Each sweep set holds exactly the resolved non-marker entries of its
+    state that write nothing, move its way and stay in the state."""
+    machine = build()
+    for word in _block_words(depth):
+        run(machine, word)
+    assert machine.sweeps
+    for state, row in enumerate(machine.table):
+        for move in (-1, 1):
+            passes = {cell for cell, entry in row.items()
+                      if cell > 1 and entry == (cell, move, state)}
+            assert machine.sweeps.get((state, move), set()) == passes
+    for (state, move), sweep in machine.sweeps.items():
+        assert move in (-1, 1)
+        assert sweep <= machine.table[state].keys()
+        assert not sweep & {0, 1}

@@ -77,6 +77,37 @@ def test_step_budget():
         run(m, Word((1, 1, 1)), max_steps=50)
 
 
+def test_sweep_from_a_marker_stops_at_the_other_marker():
+    """A pass on a marker cell finds an empty sweep set; the passes over
+    letters stop at either marker, and a run that never halts trips its
+    budget at the step a single-stepping run would."""
+    b = two_track_builder()
+    b.add("go", when={0: {"1", "2", "3"}}, move=RIGHT, goto="go")
+    b.add("go", marker="]", move=LEFT, goto="back")
+    b.add("back", when={0: {"1", "2", "3"}}, move=LEFT, goto="back")
+    b.add("back", marker="[", move=RIGHT, goto="back")
+    m = b.compile()
+    word = Word((1, 2, 3, 1))
+    for budget in range(1, 40):
+        for want_trace in (False, True):
+            with pytest.raises(StepBudgetExceeded) as exc:
+                run(m, word, max_steps=budget, want_trace=want_trace)
+            assert str(exc.value) == f"toy passed {budget} steps on 1,2,3,1"
+    letters = {m.letter_cell[letter] for letter in (1, 2, 3)}
+    assert m.sweeps == {(0, RIGHT): letters, (1, LEFT): letters, (1, RIGHT): set()}
+
+
+def test_budget_trip_in_a_sweep_comes_before_a_missing_rule():
+    b = two_track_builder()
+    b.add("go", when={0: "1"}, move=RIGHT, goto="go")
+    m = b.compile()
+    for want_trace in (False, True):
+        with pytest.raises(StepBudgetExceeded, match="^toy passed 2 steps on "):
+            run(m, Word((1, 1, 1, 2)), max_steps=2, want_trace=want_trace)
+        with pytest.raises(MachineDefinitionError):
+            run(m, Word((1, 1, 1, 2)), max_steps=3, want_trace=want_trace)
+
+
 def test_missing_rule_is_loud():
     b = two_track_builder()
     b.add("go", when={0: "1"}, move=RIGHT, goto="go")

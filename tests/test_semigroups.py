@@ -96,8 +96,9 @@ def test_two_generator_ceiling_before_shortest_paths(monkeypatch):
 
 def test_from_apery_checks_its_precondition():
     # (0, 1): 1 is not 1*2 + 1; (0, 5, 4): 5 and 4 sit in the wrong classes
-    # (0, 3.0): equal to (0, 3), but not a tuple of integers
-    for values in [(0, 1), (0, 5, 4), (), (1,), (0, -1), (0, 3.0)]:
+    # (0, 3.0): equal to (0, 3), but not a tuple of integers; (0, 'x')
+    # must be refused before the ceiling arithmetic
+    for values in [(0, 1), (0, 5, 4), (), (1,), (0, -1), (0, 3.0), (0, "x")]:
         with pytest.raises(DomainError):
             from_apery(values)
 
@@ -171,6 +172,10 @@ def test_constructor_validation():
     # closed, but the stated conductor lies above the Frobenius number + 1
     for small, conductor in [((0, 2, 3, 4), 4), ((0, 3, 4, 5), 5), ((0, 1, 2), 2)]:
         with pytest.raises(DomainError):
+            NumericalSemigroup(small_elements=small, conductor=conductor)
+    # equal to integers, but not integers: refused before any arithmetic
+    for small, conductor in [((0, 2.0), 2.0), ((0, 2, 3.0), 3), ((0, 2, 3), 3.0)]:
+        with pytest.raises(DomainError, match="must hold integers"):
             NumericalSemigroup(small_elements=small, conductor=conductor)
 
 

@@ -6,6 +6,7 @@ from kunzlab import (
     DomainError,
     NATURALS,
     NotKunz,
+    ResourceBound,
     Violation,
     Word,
     enumerate_semigroups,
@@ -18,6 +19,7 @@ from kunzlab import (
     witness_nonkunz,
 )
 from kunzlab.semigroups import from_apery
+from kunzlab.words import MAX_WITNESS_LENGTH
 from conftest import all_words, kunz_tuple_ok
 
 
@@ -160,6 +162,19 @@ def test_witness_families(q, n):
         assert not is_kunz(bad)
         # the padded block breaks the first condition at (n+1, n+m)
         assert Violation("first", n + 1, n + m, 2 * n + m + 1) in violations(bad)
+
+
+def test_witness_length_ceiling():
+    # 4,095 and 4,096 letters are built; one more is refused before building
+    assert len(witness_kunz(3, 2047)) == MAX_WITNESS_LENGTH - 1
+    assert len(witness_nonkunz(3, 2047, 1)) == MAX_WITNESS_LENGTH
+    with pytest.raises(ResourceBound, match="length 4097 is over the ceiling 4096"):
+        witness_nonkunz(3, 2047, 2)
+    # about 2*10^9 letters each, never built
+    for make in (lambda: witness_kunz(3, 10**9), lambda: witness_kunz(10**9, 2),
+                 lambda: witness_nonkunz(3, 1, 2 * 10**9)):
+        with pytest.raises(ResourceBound, match="ceiling"):
+            make()
 
 
 def test_witness_domain_errors():
