@@ -56,13 +56,14 @@ def _emit(obj) -> None:
 
 def cmd_validate(args) -> int:
     word = Word.parse(args.word)
+    found = violations(word)  # first, since it refuses an over-long word
     kunz = is_kunz(word)
     _emit(
         {
             "word": str(word),
             "is_kunz": kunz,
             "depth": word.depth,
-            "violations": [v.to_json_dict() for v in violations(word)],
+            "violations": [v.to_json_dict() for v in found],
         }
     )
     return EXIT_OK if kunz else EXIT_NEGATIVE

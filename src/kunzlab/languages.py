@@ -96,14 +96,23 @@ def in_kunz_language(word: Word, q: int) -> bool:
 
 
 def _check_census(q: int, length: int, max_candidates: int) -> None:
-    """Argument and ceiling checks shared by the two census functions."""
+    """Argument and ceiling checks shared by the two census functions.
+    The walk meets at most q**length candidates, and even the one word
+    of depth 1 costs it O(length**2) interval work, so either count over
+    max_candidates refuses the cell."""
     if q < 0 or length < 0:
         raise DomainError("depth and length must be nonnegative")
+    if not q:  # K_0 is the empty word alone, so its cells are never refused
+        return
     candidates = q**length
-    # K_0 is the empty word alone, so its cells are never refused
-    if q and candidates > max_candidates:
+    if candidates > max_candidates:
         raise ResourceBound(
             f"{candidates} candidate words exceed the ceiling {max_candidates}"
+        )
+    if length**2 > max_candidates:
+        raise ResourceBound(
+            f"length {length} needs {length**2} interval steps, over the"
+            f" ceiling {max_candidates}"
         )
 
 
@@ -154,7 +163,8 @@ def enumerate_kunz(
     length being fixed, places each letter only inside the interval the
     Kunz conditions decided at its position leave open (see
     semigroups._letter_bounds), so every dead prefix is cut as soon as it
-    is placed.  The ceiling still applies to all q**length candidates.
+    is placed.  The ceiling applies to all q**length candidates and to
+    the length**2 interval work (see _check_census).
     """
     _check_census(q, length, max_candidates)
     if q == 0 or length == 0:

@@ -8,11 +8,11 @@ NumericalSemigroup stores: m - 1 Kunz coordinates' worth of ints
 however large the conductor.  Membership is x >= w[x mod m], the
 conductor is max(w) - m + 1, the genus is the sum of the Kunz
 coordinates (Selmer), and the Kunz word is read off w, each in O(m) or
-less.  small_elements, gaps() and the wire form list the members or
-gaps below the conductor, so they are built on demand, in O(c), on each
-read.  Only from_apery and the small_elements constructor validate w;
-from_generators, words.to_semigroup and enumerate_semigroups derive a
-valid w themselves and store it unchecked.
+less, whatever the conductor.  small_elements, gaps() and the wire form
+list the members or gaps below it on demand, in O(c), and alone refuse
+a conductor over MAX_CONDUCTOR.  Only from_apery and the small_elements
+constructor validate w; from_generators, words.to_semigroup and
+enumerate_semigroups derive a valid w themselves and store it unchecked.
 """
 
 from __future__ import annotations
@@ -27,11 +27,11 @@ from typing import Iterable, Sequence
 from .errors import DomainError, NotCofinite, ResourceBound
 
 DEFAULT_SEARCH_CEILING = 10_000_000
-# Largest conductor built: small_elements, gaps() and the wire form are
+# Largest conductor listed: small_elements, gaps() and the wire form are
 # O(c) reads, and listing the small elements of [1447, 1451]
 # (c = 2,096,700) at the ceiling takes about 0.2 s (2-CPU VM,
-# Python 3.11).  The multiplicity is checked against it first, since
-# c >= m; shortest paths for m = 2**21 take 1.5-2.5 s at 128 MB.
+# Python 3.11).  Construction checks only the multiplicity, since c >= m:
+# shortest paths for m = 2**21 take 1.5-2.5 s at 128 MB.
 MAX_CONDUCTOR = 2**21
 
 
@@ -144,7 +144,8 @@ class NumericalSemigroup:
         w = _apery_values(small, conductor + 1, small[1] if conductor else 1)
         _check_apery(w)
         object.__setattr__(self, "_w", w)
-        if self.small_elements != small:
+        # not self.small_elements: this input is O(c) already, so no ceiling
+        if tuple(filter(self.contains, range(self.conductor + 1))) != small:
             raise DomainError(
                 "small_elements must be every member up to the conductor"
                 f" {self.conductor} of the semigroup they generate"
@@ -192,12 +193,19 @@ class NumericalSemigroup:
         built on each read."""
         w = self._w
         m = len(w)
-        return tuple(x for x in range(self.conductor + 1) if x >= w[x % m])
+        return tuple(x for x in range(self._listed_conductor() + 1) if x >= w[x % m])
 
     def gaps(self) -> list[int]:
         w = self._w
         m = len(w)
-        return [x for x in range(1, self.conductor) if x < w[x % m]]
+        return [x for x in range(1, self._listed_conductor()) if x < w[x % m]]
+
+    def _listed_conductor(self) -> int:
+        """The conductor, or ResourceBound over MAX_CONDUCTOR before any listing."""
+        c = self.conductor
+        if c > MAX_CONDUCTOR:
+            raise ResourceBound(f"conductor {c} is over the ceiling {MAX_CONDUCTOR}")
+        return c
 
     @property
     def apery(self) -> AperyData:
@@ -209,9 +217,10 @@ class NumericalSemigroup:
 
     def to_json_dict(self) -> dict:
         """Wire form; field order is part of the interface."""
+        small = list(self.small_elements)  # refuses before the O(m) apery
         ap = self.apery
         return {
-            "small_elements": list(self.small_elements),
+            "small_elements": small,
             "conductor": self.conductor,
             "multiplicity": self.multiplicity,
             "frobenius": self.frobenius,
@@ -225,33 +234,26 @@ class NumericalSemigroup:
 NATURALS = NumericalSemigroup(small_elements=(0,), conductor=0)
 
 
-def _over_ceiling(conductor: int) -> ResourceBound:
-    return ResourceBound(f"conductor {conductor} is over the ceiling {MAX_CONDUCTOR}")
-
-
 def _store_apery(values: Iterable[int]) -> NumericalSemigroup:
     """from_apery without _check_apery, for tuples valid by construction."""
-    w = tuple(values)
-    conductor = max(w, default=0) - len(w) + 1
-    if conductor > MAX_CONDUCTOR:
-        raise _over_ceiling(conductor)
     semigroup = object.__new__(NumericalSemigroup)
-    object.__setattr__(semigroup, "_w", w)
+    object.__setattr__(semigroup, "_w", tuple(values))
     return semigroup
 
 
 def from_apery(values: Sequence[int]) -> NumericalSemigroup:
     """The semigroup whose Apery tuple is ``values``, for the multiplicity
     m = len(values).  DomainError unless the values are integers, checked
-    first; then ResourceBound when the conductor max(values) - m + 1
-    exceeds MAX_CONDUCTOR; then DomainError unless values[0] is 0,
+    first; then ResourceBound when m exceeds MAX_CONDUCTOR, since the
+    validation is O(m^2); then DomainError unless values[0] is 0,
     values[i] = k*m + i with k >= 1 for 0 < i < m, and Kunz's
-    inequalities hold (see _check_apery)."""
+    inequalities hold (see _check_apery).  Any conductor is built."""
     w = tuple(values)
     _require_ints(w, "an Apery tuple")
-    semigroup = _store_apery(w)
+    if len(w) > MAX_CONDUCTOR:
+        raise ResourceBound(f"multiplicity {len(w)} is over the ceiling {MAX_CONDUCTOR}")
     _check_apery(w)
-    return semigroup
+    return _store_apery(w)
 
 
 def from_generators(gens: Iterable[int]) -> NumericalSemigroup:
@@ -260,8 +262,8 @@ def from_generators(gens: Iterable[int]) -> NumericalSemigroup:
 
     Raises NotCofinite when gcd(gens) != 1 (the complement would be
     infinite), DomainError on an empty or nonpositive generator set, and
-    ResourceBound, before building anything of that size, when the
-    multiplicity or the conductor exceeds MAX_CONDUCTOR.
+    ResourceBound, before the shortest paths, when the multiplicity
+    exceeds MAX_CONDUCTOR; any conductor is built, in O(m) memory.
     """
     gen_list = sorted(set(gens))
     if not gen_list:
@@ -276,10 +278,6 @@ def from_generators(gens: Iterable[int]) -> NumericalSemigroup:
         raise ResourceBound(
             f"multiplicity {m} puts the conductor over the ceiling {MAX_CONDUCTOR}"
         )
-    if len(gen_list) == 2:  # Sylvester: two coprime a < b give (a-1)(b-1)
-        conductor = (m - 1) * (gen_list[1] - 1)
-        if conductor > MAX_CONDUCTOR:
-            raise _over_ceiling(conductor)
     # Nijenhuis: w[r] is the shortest path 0 -> r over edges r -> r + g (mod m)
     values = [0] + [math.inf] * (m - 1)
     heap = [(0, 0)]

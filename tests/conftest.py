@@ -31,6 +31,36 @@ def naive_conductor(gens, limit):
     return gaps[-1] + 1 if gaps else 0
 
 
+def naive_sum_mask(gens, limit):
+    """Sums of generators up to ``limit`` as the set bits of an int.  The
+    mask is closed under adding g by OR-ing in its shifts by g, 2g, 4g,
+    and so on: after the shift by 2^k g it holds every sum plus up to
+    2^(k+1) - 1 copies of g.  Closing under one generator keeps the
+    closure under the ones before it."""
+    full = (1 << limit + 1) - 1
+    mask = 1
+    for g in gens:
+        shift = g
+        while shift <= limit:
+            mask |= (mask << shift) & full
+            shift *= 2
+    return mask
+
+
+def naive_frobenius_and_genus(gens):
+    """(Frobenius number, genus), read off naive_sum_mask over a window
+    doubled until its top min(gens) bits are all set; from there on every
+    integer is a sum.  Never touches Apery tuples."""
+    m = min(gens)
+    limit = 2 * max(gens)
+    mask = naive_sum_mask(gens, limit)
+    while mask >> (limit + 1 - m) != (1 << m) - 1:
+        limit *= 2
+        mask = naive_sum_mask(gens, limit)
+    gaps = ~mask & ((1 << limit + 1) - 1)
+    return gaps.bit_length() - 1, bin(gaps).count("1")
+
+
 def kunz_tuple_ok(t):
     """The three inequality families a Kunz coordinates tuple satisfies,
     checked straight from the definition with m = len(t) + 1."""

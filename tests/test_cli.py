@@ -186,11 +186,15 @@ def test_lba_step_budget_is_not_a_usage_error():
     ["nerode", "--depth", "5", "--max", "1000000"],
     ["nerode", "--depth", "1000000000", "--max", "2"],
     ["pumping", "--depth", "12", "--p", "5", "--kmax", "1"],
+    ["enumerate", "--depth", "1", "--length", "100000"],
+    ["validate", ",".join(["1"] * 4097)],
 ], ids=["witness-kunz", "witness-nonkunz", "nerode-cutoff", "nerode-depth",
-        "pumping-witness"])
+        "pumping-witness", "enumerate-depth1", "validate-long-word"])
 def test_extreme_witness_and_nerode_arguments_are_refused(argv):
-    """Each would build billions of letters or run for hours; the up-front
-    ceilings refuse them before any of that work."""
+    """Each would build billions of letters, run for minutes or more, or
+    list Theta(l^2) violations (one argument holds about 65K letters, and
+    4,097 is the fewest refused); the up-front ceilings refuse them before
+    any of that work."""
     env = dict(os.environ, PYTHONPATH=str(Path(kunzlab.__file__).parents[1]))
     proc = subprocess.run(
         [sys.executable, "-m", "kunzlab", *argv],

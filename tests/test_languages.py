@@ -120,6 +120,15 @@ def test_enumerate_resource_bound():
         enumerate_kunz(3, 4, max_candidates=50)
 
 
+def test_depth_one_census_ceiling():
+    # one candidate word, but length**2 interval work
+    assert count_kunz(1, 100, max_candidates=10_000) == 1
+    assert enumerate_kunz(1, 100, max_candidates=10_000) == [Word((1,) * 100)]
+    for census in (count_kunz, enumerate_kunz):
+        with pytest.raises(ResourceBound, match="length 101 needs 10201 interval steps"):
+            census(1, 101, max_candidates=10_000)
+
+
 def test_nerode_small():
     report = nerode_evidence(3, 3)
     assert len(report.separations) == 3

@@ -16,7 +16,12 @@ from kunzlab import (
 )
 from kunzlab import semigroups
 from kunzlab.semigroups import MAX_CONDUCTOR, from_apery
-from conftest import kunz_tuple_ok, naive_conductor, naive_members
+from conftest import (
+    kunz_tuple_ok,
+    naive_conductor,
+    naive_frobenius_and_genus,
+    naive_members,
+)
 
 
 def test_from_generators_naturals():
@@ -70,34 +75,67 @@ def test_from_generators_two_coprime_generators(a, b):
     assert sorted(s.apery.values) == sorted(j * b for j in range(a))
 
 
-def test_construction_ceiling():
-    # refused before anything of the semigroup's size is built
+def test_construction_ceiling(monkeypatch):
+    # only the multiplicity is refused when building, before the O(m)
+    # shortest paths or the O(m^2) validation run
+    def no_work(*args):
+        raise AssertionError("construction work ran")
+
+    monkeypatch.setattr(heapq, "heappop", no_work)
+    monkeypatch.setattr(semigroups, "_check_apery", no_work)
     with pytest.raises(ResourceBound, match="multiplicity"):
         from_generators([MAX_CONDUCTOR + 1, MAX_CONDUCTOR + 2])
-    with pytest.raises(ResourceBound, match="conductor 400600200 is over"):
-        from_generators([20011, 20021])
-    # m = 2 and w = (0, c + 1) give conductor c
-    with pytest.raises(ResourceBound, match="conductor"):
-        from_apery((0, MAX_CONDUCTOR + 3))
-    with pytest.raises(ResourceBound, match="conductor"):
-        to_semigroup(Word((MAX_CONDUCTOR // 2 + 1,)))
+    with pytest.raises(ResourceBound, match="multiplicity"):
+        from_apery([0] * (MAX_CONDUCTOR + 1))
+    monkeypatch.undo()
+    # m = 2 and w = (0, c + 1) give conductor c over the ceiling: built
+    # (listed by neither; see the bit-mask oracle test below)
+    assert from_apery((0, MAX_CONDUCTOR + 3)) == to_semigroup(
+        Word((MAX_CONDUCTOR // 2 + 1,)))
 
 
-def test_two_generator_ceiling_before_shortest_paths(monkeypatch):
-    # Sylvester's (a-1)(b-1) refuses [2**21, 2**21 + 1] without the
-    # shortest-path search over 2**21 residues
-    def no_search(heap):
-        raise AssertionError("shortest paths ran")
+def assert_listings_refused(s):
+    """The O(c) reads raise ResourceBound; the O(m) ones keep answering."""
+    message = f"conductor {s.conductor} is over the ceiling {MAX_CONDUCTOR}"
+    for listing in (lambda: s.small_elements, s.gaps, s.to_json_dict):
+        with pytest.raises(ResourceBound, match=message):
+            listing()
+    assert s.frobenius == s.conductor - 1
+    assert not s.contains(s.frobenius) and s.contains(s.conductor)
+    assert from_semigroup(s).depth == s.depth
 
-    monkeypatch.setattr(heapq, "heappop", no_search)
-    with pytest.raises(ResourceBound, match=r"conductor \d+ is over the ceiling"):
-        from_generators([MAX_CONDUCTOR, MAX_CONDUCTOR + 1])
+
+@pytest.mark.parametrize("build,gens", [
+    (lambda: from_generators([10007, 10009, 10037]), (10007, 10009, 10037)),
+    (lambda: from_apery((0, MAX_CONDUCTOR + 3)), (2, MAX_CONDUCTOR + 3)),
+    (lambda: to_semigroup(Word((MAX_CONDUCTOR // 2 + 1,))), (2, MAX_CONDUCTOR + 3)),
+], ids=["three-generators", "from-apery", "to-semigroup"])
+def test_conductor_over_the_ceiling_matches_bit_mask_oracle(build, gens):
+    s = build()
+    assert (s.frobenius, s.genus) == naive_frobenius_and_genus(gens)
+    assert s.multiplicity == min(gens)
+    assert_listings_refused(s)
+
+
+def test_two_generators_over_the_ceiling_match_sylvester():
+    # Sylvester: conductor (a-1)(b-1), genus half of it; no longer refused
+    # from the generators before the shortest paths run
+    s = from_generators([20011, 20021])
+    assert (s.conductor, s.genus) == (400_600_200, 200_300_100)
+    assert_listings_refused(s)
+
+
+def test_small_elements_constructor_lists_past_the_ceiling():
+    # its input is O(c) already, so its own cross-check must not refuse
+    evens = range(0, MAX_CONDUCTOR + 3, 2)
+    s = NumericalSemigroup(evens, MAX_CONDUCTOR + 2)
+    assert s == from_apery((0, MAX_CONDUCTOR + 3))
 
 
 def test_from_apery_checks_its_precondition():
     # (0, 1): 1 is not 1*2 + 1; (0, 5, 4): 5 and 4 sit in the wrong classes
     # (0, 3.0): equal to (0, 3), but not a tuple of integers; (0, 'x')
-    # must be refused before the ceiling arithmetic
+    # must be refused before any arithmetic
     for values in [(0, 1), (0, 5, 4), (), (1,), (0, -1), (0, 3.0), (0, "x")]:
         with pytest.raises(DomainError):
             from_apery(values)

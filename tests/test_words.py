@@ -177,6 +177,13 @@ def test_witness_length_ceiling():
             make()
 
 
+def test_violations_length_ceiling():
+    # Theta(l^2) violations can be listed, so a long word is refused up front
+    long_word = Word((1,) * 2049 + (3,) * 2048)
+    with pytest.raises(ResourceBound, match="length 4097 is over the ceiling 4096"):
+        violations(long_word)
+
+
 def test_witness_domain_errors():
     with pytest.raises(DomainError):
         witness_kunz(2, 1)
