@@ -56,8 +56,8 @@ def _emit(obj) -> None:
 
 def cmd_validate(args) -> int:
     word = Word.parse(args.word)
-    found = violations(word)  # first, since it refuses an over-long word
-    kunz = is_kunz(word)
+    found = violations(word)  # refuses an over-long word; empty iff Kunz
+    kunz = not found
     _emit(
         {
             "word": str(word),

@@ -27,6 +27,13 @@ class InvalidDecomposition(DomainError):
     """Cut points do not describe a five-way split of the given word."""
 
 
+def _shown(n: int) -> str:
+    """A size for a ceiling message: in decimal below 2^64, else as that
+    bound.  Python refuses to print an int of over 4,300 digits, and a
+    size past 2^64 is over every default ceiling anyway."""
+    return str(n) if n < 2**64 else "2^64 or more"
+
+
 class ResourceBound(KunzlabError):
     """An enumeration or search would exceed its configured ceiling.
 

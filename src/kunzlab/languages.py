@@ -22,6 +22,7 @@ from .errors import (
     NoRefutation,
     ResourceBound,
     SelfCheckFailed,
+    _shown,
 )
 from .semigroups import _letter_bounds
 from .words import Word, is_kunz, witness_kunz, witness_nonkunz
@@ -29,9 +30,9 @@ from .words import Word, is_kunz, witness_kunz, witness_nonkunz
 DEFAULT_CANDIDATE_CEILING = 10_000_000
 # Largest nerode_evidence run, in letter pairs: comb(cutoff, 2)
 # separations, each scanning words of length up to l = (q-1)*cutoff + 1
-# in O(l^2).  Measured (2-CPU VM, Python 3.11), (q, cutoff): (3, 79) is
-# 7.8e7 pairs in 2.0 s, (5, 60) 1.0e8 in 1.1 s, (12, 36) 9.9e7 in 0.7 s,
-# (3, 100) 2.0e8 in 4.8 s.
+# in O(l^2).  Measured (2-CPU VM, Python 3.11, best of 3), (q, cutoff):
+# (3, 79) is 7.8e7 pairs in 1.3 s, (5, 59) 9.6e7 in 0.4 s, (12, 36)
+# 9.9e7 in 0.2 s, and (3, 100), over the ceiling, 2.0e8 in 2.6 s.
 MAX_NERODE_PAIRS = 100_000_000
 
 
@@ -104,15 +105,18 @@ def _check_census(q: int, length: int, max_candidates: int) -> None:
         raise DomainError("depth and length must be nonnegative")
     if not q:  # K_0 is the empty word alone, so its cells are never refused
         return
-    candidates = q**length
+    # q**length >= 2**length for q >= 2, so capping the exponent past both
+    # 64 and the ceiling's bit length keeps the verdict and the message
+    # and never builds a number of length bits
+    candidates = q ** min(length, max(64, max_candidates.bit_length() + 1))
     if candidates > max_candidates:
         raise ResourceBound(
-            f"{candidates} candidate words exceed the ceiling {max_candidates}"
+            f"{_shown(candidates)} candidate words exceed the ceiling {max_candidates}"
         )
     if length**2 > max_candidates:
         raise ResourceBound(
-            f"length {length} needs {length**2} interval steps, over the"
-            f" ceiling {max_candidates}"
+            f"length {_shown(length)} needs {_shown(length**2)} interval steps,"
+            f" over the ceiling {max_candidates}"
         )
 
 
@@ -243,17 +247,15 @@ def nerode_evidence(q: int, cutoff: int) -> NerodeReport:
     pairs = comb(cutoff, 2) * ((q - 1) * cutoff + 1) ** 2
     if pairs > MAX_NERODE_PAIRS:
         raise ResourceBound(
-            f"depth {q} and cutoff {cutoff} need {pairs} letter pairs,"
-            f" over the ceiling {MAX_NERODE_PAIRS}"
+            f"depth {_shown(q)} and cutoff {_shown(cutoff)} need {_shown(pairs)}"
+            f" letter pairs, over the ceiling {MAX_NERODE_PAIRS}"
         )
     separations = []
-    for i in range(1, cutoff + 1):
+    for i in range(1, cutoff):
         suffix = Word(witness_kunz(q, i).letters[i:])
+        member_i = in_kunz_language(Word((1,) * i) + suffix, q)
         for j in range(i + 1, cutoff + 1):
-            word_i = Word((1,) * i) + suffix
-            word_j = Word((1,) * j) + suffix
-            member_i = in_kunz_language(word_i, q)
-            member_j = in_kunz_language(word_j, q)
+            member_j = in_kunz_language(Word((1,) * j) + suffix, q)
             if not member_i or member_j:
                 raise SelfCheckFailed(
                     f"separation for ({i}, {j}) failed re-verification"
@@ -422,7 +424,10 @@ def bader_moura_refute(
         raise DomainError("p must be >= 1")
     if k_max < 0:
         raise DomainError("k_max must be >= 0")
-    n = p**q + 1
+    # p**q >= 2**q for p >= 2, and a block of 2**64 letters is over the
+    # length ceiling, so capping the exponent at 64 keeps every verdict
+    # and message and never builds p**q for a huge q
+    n = p ** min(q, 64) + 1
     word = witness_kunz(q, n)
     length = len(word)
     total = comb(length + 4, 4)

@@ -33,12 +33,21 @@ comparison against the track-5 length) and abandons the pair.
 
 The general machine build_kn_machine(n) runs the full membership scan
 for any alphabet {1..n}: every position is crossed in turn, every pair
-(i, j) with i <= j is checked, letter values ride along in the finite
-control, and marks are tagged with the letter they cover (x2, y4, ...)
-so a probed cell still reveals its letter.  Sums beyond the tape are
-re-anchored as an overflow prefix ('o' marks on track 4) whose length is
-i+j-l, putting the shifted target i+j-(l+1) one cell left of the last
-overflow mark; the pair is vacuous when that prefix has length 1.
+(i, j) with i <= j is checked, and marks are tagged with the letter they
+cover (x2, y4, ...) so a probed cell still reveals its letter.  Sums
+beyond the tape are re-anchored as an overflow prefix ('o' marks on
+track 4) whose length is i+j-l, putting the shifted target i+j-(l+1)
+one cell left of the last overflow mark; the pair is vacuous when that
+prefix has length 1.
+
+The finite control keeps only the bounds its checks read.  Phases 3-4
+run in one family per x letter a, tagged [a], except that the letters
+n-1 and n share the family [n-1]: every check they make is vacuous.
+Phases 5-6 run in one family per x family a and bound s = min(a+v, n),
+tagged [a,s], where v is the y letter: the probe rejects a letter over
+s and the overflow check one over s+1, so every pair with a+v >= n (no
+letter exceeds n) shares the family [a,n].  Phase 7 checks nothing and
+runs once for every x.
 
 Phase 7's cleanup is implemented as: walk left to the rightmost x
 restoring ys and blanking tracks 3-4, then keep walking to the origin
@@ -52,7 +61,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from ..errors import DomainError, ResourceBound
+from ..errors import DomainError, ResourceBound, _shown
 from .simulator import (
     ACCEPT,
     BLANK,
@@ -67,8 +76,8 @@ T1, T2, T3, T4, T5 = range(5)
 ORIGIN = "#"
 
 # Largest depth build_kn_machine accepts.  Its states and rules grow as
-# n^2: on a 2-CPU VM with Python 3.11, depth 24 builds in about 0.13 s at
-# 31 MB peak RSS and depth 32 in 0.26 s at 44 MB.
+# n^2: on a 2-CPU VM with Python 3.11, depth 24 builds in about 0.07 s at
+# 23 MB peak RSS and depth 32 in 0.13 s at 30 MB.
 MAX_MACHINE_DEPTH = 24
 
 
@@ -147,7 +156,7 @@ def build_kn_machine(n: int) -> CompiledMachine:
         raise DomainError("depths 0..2 are regular; build_kn_machine needs n >= 3")
     if n > MAX_MACHINE_DEPTH:
         raise ResourceBound(
-            f"depth {n} is over the machine ceiling {MAX_MACHINE_DEPTH}"
+            f"depth {_shown(n)} is over the machine ceiling {MAX_MACHINE_DEPTH}"
         )
     letters = tuple(str(v) for v in range(1, n + 1))
     xmarks = tuple("x" + s for s in letters)
@@ -170,25 +179,32 @@ def build_kn_machine(n: int) -> CompiledMachine:
     # 2: cross the next position, whatever its letter, remembering it
     b.add("step2.cross", marker="]", goto=ACCEPT)
     for a, sym in enumerate(letters, start=1):
+        sa = f"[{min(a, n - 1)}]"
         b.add("step2.cross", when={T1: sym, T5: ORIGIN},
-              write={T1: "x" + sym, T2: "1", T3: "1"}, goto=f"step3.copy[{a}]")
+              write={T1: "x" + sym, T2: "1", T3: "1"}, goto=f"step3.copy{sa}")
         b.add("step2.cross", when={T1: sym},
               write={T1: "x" + sym, T2: "1", T3: "1"}, move=LEFT,
-              goto=f"step3.rewind[{a}]")
+              goto=f"step3.rewind{sa}")
 
-    for a in range(1, n + 1):
-        _emit_primary_states(b, a, letters)
-        for v in range(1, n + 1):
-            _emit_pair_states(b, a, v, letters, ymarks)
+    # x letters n-1 and n check nothing (2a >= n and a+v >= n), so they
+    # share the last primary family
+    for a in range(1, n):
+        x = xmarks[a - 1:] if a == n - 1 else xmarks[a - 1]
+        _emit_primary_states(b, a, n, letters, x)
+        for s in range(a + 1, n + 1):
+            _emit_pair_states(b, a, s, letters, ymarks)
+    # 7: walking left, the first x past the ys is the current one, and
+    # track 2 marks it too, so the cleanup matches any x mark
+    _emit_restore(b, "", dict(zip(ymarks, letters)), xmarks, then="step2.cross")
 
     return b.compile()
 
 
-def _emit_primary_states(b, a, letters) -> None:
-    """Phase 3 for the position crossed with letter a, plus the phase 4
-    and phase 7 bookkeeping that only depends on a."""
+def _emit_primary_states(b, a, n, letters, x) -> None:
+    """Phase 3 for the x family a, whose x marks are ``x``, plus its
+    phase 4 crossing: a partner of letter v enters the pair family
+    [a, min(a+v, n)]."""
     sa = f"[{a}]"
-    x = "x" + str(a)
     _emit_double(b, sa, on_overflow=f"step3.osweep{sa}")
     # i+i <= length: first condition at cell 2i (always an unmarked letter)
     _emit_probe(b, "step3", sa, letters, limit=a + a, home=x,
@@ -211,18 +227,17 @@ def _emit_primary_states(b, a, letters) -> None:
 
     # 4 / 7: mark the next position as a partner, or restore and advance
     for phase in ("step4", "step7"):
-        b.add(f"{phase}.cross{sa}", marker="]", move=LEFT,
-              goto=f"step7.restore{sa}")
+        b.add(f"{phase}.cross{sa}", marker="]", move=LEFT, goto="step7.restore")
         for v, sym in enumerate(letters, start=1):
             b.add(f"{phase}.cross{sa}", when={T1: sym},
-                  write={T1: "y" + sym, T3: "1"}, goto=f"step5.take[{a},{v}]")
-    _emit_restore(b, sa, {"y" + sym: sym for sym in letters}, x,
-                  then="step2.cross")
+                  write={T1: "y" + sym, T3: "1"},
+                  goto=f"step5.take[{a},{min(a + v, n)}]")
 
 
-def _emit_pair_states(b, a, v, letters, ymarks) -> None:
-    """Phases 5 and 6 for the pair of letters (a at the x, v at the y)."""
-    sab = f"[{a},{v}]"
+def _emit_pair_states(b, a, s, letters, ymarks) -> None:
+    """Phases 5 and 6 for a pair whose letters sum to s (to at least s
+    when s = n, where no check can fail), with the x family a."""
+    sab = f"[{a},{s}]"
     # 5: one more unit onto the sum; writing it lands on cell i+j
     b.add(f"step5.take{sab}", when={T3: "1"}, write={T3: "c"}, move=RIGHT,
           goto=f"step5.put{sab}")
@@ -231,17 +246,18 @@ def _emit_pair_states(b, a, v, letters, ymarks) -> None:
           goto=f"step6.check{sab}")
     b.add(f"step5.put{sab}", marker="]", move=LEFT, goto=f"step5.osweep{sab}")
     # 6: first condition at cell i+j (always right of the y, unmarked)
-    _emit_probe(b, "step6", sab, letters, limit=a + v, home=ymarks,
+    _emit_probe(b, "step6", sab, letters, limit=s, home=ymarks,
                 then=f"step7.cross[{a}]")
     # i+j overran: grow the overflow prefix by one and check the shifted
     # condition, skipping the vacuous i+j = length+1 case
     _emit_overflow_tail(b, "step5", sab, letters, filled=f"step5.oprobe{sab}",
-                        limit=a + v + 1, then=f"step5.ff{sab}")
+                        limit=s + 1, then=f"step5.ff{sab}")
     _emit_forward(b, f"step5.ff{sab}", then=f"step6.back{sab}")
 
 
 # The phase emitters below serve both machines; a state-name ``tag`` is
-# "" in the depth-3 machine and the letter suffix "[a]" or "[a,v]" else.
+# "" in the depth-3 machine and in K_n's phase 7, and the family suffix
+# "[a]" or "[a,s]" else.
 # ``letters`` is "1".."n" in order, so letters[:limit] are those <= limit.
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Sequence
 
-from .errors import DomainError, NotCofinite, ResourceBound
+from .errors import DomainError, NotCofinite, ResourceBound, _shown
 
 DEFAULT_SEARCH_CEILING = 10_000_000
 # Largest conductor listed: small_elements, gaps() and the wire form are
@@ -204,7 +204,7 @@ class NumericalSemigroup:
         """The conductor, or ResourceBound over MAX_CONDUCTOR before any listing."""
         c = self.conductor
         if c > MAX_CONDUCTOR:
-            raise ResourceBound(f"conductor {c} is over the ceiling {MAX_CONDUCTOR}")
+            raise ResourceBound(f"conductor {_shown(c)} is over the ceiling {MAX_CONDUCTOR}")
         return c
 
     @property

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .errors import DomainError, NotKunz, ResourceBound
+from .errors import DomainError, NotKunz, ResourceBound, _shown
 from .semigroups import NumericalSemigroup, _letters_in_bounds, _store_apery
 
 FIRST = "first"
@@ -126,7 +126,7 @@ def violations(word: Word) -> list[Violation]:
 def _check_length(length: int, what: str) -> None:
     if length > MAX_WITNESS_LENGTH:
         raise ResourceBound(
-            f"{what} of length {length} is over the ceiling {MAX_WITNESS_LENGTH}"
+            f"{what} of length {_shown(length)} is over the ceiling {MAX_WITNESS_LENGTH}"
         )
 
 
@@ -176,8 +176,10 @@ def to_semigroup(word: Word) -> NumericalSemigroup:
     when the word fails the Kunz conditions (the bijection only covers
     Kunz words); that is the only check its Apery tuple gets.  Any
     conductor is built; only the semigroup's O(c) listings refuse one
-    over semigroups.MAX_CONDUCTOR.
+    over semigroups.MAX_CONDUCTOR.  ResourceBound, before the O(l^2)
+    scan, for a word longer than MAX_WITNESS_LENGTH.
     """
+    _check_length(len(word), "a word")
     if not is_kunz(word):
         raise NotKunz(f"{word} violates the Kunz conditions")
     m = len(word) + 1

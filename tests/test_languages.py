@@ -164,6 +164,10 @@ def test_pumping_witness_over_the_length_ceiling():
     # n = 5**12 + 1 would make a witness of about 2.7*10^9 letters
     with pytest.raises(ResourceBound, match="witness of length"):
         bader_moura_refute(12, 5, 1)
+    # 2**(10**6) has 301,030 digits: neither built nor printed
+    with pytest.raises(ResourceBound,
+                       match=r"witness of length 2\^64 or more is over the ceiling"):
+        bader_moura_refute(10**6, 2, 1)
 
 
 def test_nerode_rejects_regular_depths():

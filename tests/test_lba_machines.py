@@ -214,9 +214,9 @@ def _first_match_table(machine):
         (build_k3_machine,
          "7b89a9a19461f6b69d988505abe99f71472b9a4aba4ecc3d2c502b0443756046"),
         (lambda: build_kn_machine.__wrapped__(4),
-         "25022b15be117d24222571e763a35ea798d42c5671889795ec523b733dab0872"),
+         "9b1e8ffd37c8af67b27125cca8a8d233d5a8a6406b147216cac1fb0675c07ed4"),
         (lambda: build_kn_machine.__wrapped__(5),
-         "afbf596917f85da6940ee6f2e35e701fcd66620aaa7a151e63f30c518bea2d6b"),
+         "ccd3b6e73dd7e1a25c7f123ad835c33c90f082a43201a107d68603d61dff6640"),
     ],
     ids=["k3", "k4", "k5"],
 )
@@ -259,7 +259,33 @@ def test_run_resolves_only_the_entries_it_reads():
     assert sum(map(len, machine.table)) == resolved
 
 
-@pytest.mark.parametrize("depth", [MAX_MACHINE_DEPTH + 1, 10**9])
+@pytest.mark.parametrize(
+    "depth,word,steps,verdict",
+    [
+        (4, witness_kunz(4, 19), 260_306, "accept"),
+        (4, witness_nonkunz(4, 10, 3), 9_189, "reject"),
+        (6, witness_kunz(6, 24), 2_207_405, "accept"),
+        (6, witness_nonkunz(6, 8, 1), 7_743, "reject"),
+        (6, Word((3,) * 40 + (6,)), 96_885, "accept"),
+    ],
+    ids=["k4-kunz", "k4-nonkunz", "k6-kunz", "k6-nonkunz", "k6-threes"],
+)
+def test_kn_step_counts_are_pinned(depth, word, steps, verdict):
+    """Runs over live and vacuous pairs, overflowing sums and both
+    verdicts: a change to any transition they take moves the count."""
+    result = run(build_kn_machine(depth), word, max_steps=10**7)
+    assert (result.steps, result.verdict) == (steps, verdict)
+
+
+@pytest.mark.parametrize("depth,most", [(4, 123), (5, 181), (6, 249)])
+def test_kn_state_count(depth, most):
+    """One pair family per x family and checked bound, one shared family
+    for the x letters n-1 and n, and one phase 7."""
+    assert len(build_kn_machine(depth).state_names) <= most
+
+
+@pytest.mark.parametrize("depth", [MAX_MACHINE_DEPTH + 1, 10**9,
+                                   pytest.param(10**5000, id="10**5000")])
 def test_kn_depth_ceiling(depth):
     with pytest.raises(ResourceBound, match="ceiling"):
         build_kn_machine(depth)

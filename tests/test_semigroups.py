@@ -117,6 +117,13 @@ def test_conductor_over_the_ceiling_matches_bit_mask_oracle(build, gens):
     assert_listings_refused(s)
 
 
+def test_conductor_too_long_to_print_is_refused_as_a_bound():
+    # a conductor of 5,001 digits, past what Python converts to text
+    s = from_apery((0, 10**5000 + 1))
+    with pytest.raises(ResourceBound, match=r"conductor 2\^64 or more is over the ceiling"):
+        s.small_elements
+
+
 def test_two_generators_over_the_ceiling_match_sylvester():
     # Sylvester: conductor (a-1)(b-1), genus half of it; no longer refused
     # from the generators before the shortest paths run

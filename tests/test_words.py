@@ -184,6 +184,14 @@ def test_violations_length_ceiling():
         violations(long_word)
 
 
+def test_to_semigroup_length_ceiling():
+    # refused before the O(l^2) Kunz scan, Kunz word or not
+    for letters in ((3,) * 4097, (1,) * 4097):
+        with pytest.raises(ResourceBound, match="a word of length 4097 is over the ceiling 4096"):
+            to_semigroup(Word(letters))
+    assert to_semigroup(Word((3,) * 4096)).multiplicity == 4097
+
+
 def test_witness_domain_errors():
     with pytest.raises(DomainError):
         witness_kunz(2, 1)
