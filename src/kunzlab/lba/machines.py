@@ -40,14 +40,19 @@ track 4) whose length is i+j-l, putting the shifted target i+j-(l+1)
 one cell left of the last overflow mark; the pair is vacuous when that
 prefix has length 1.
 
-The finite control keeps only the bounds its checks read.  Phases 3-4
-run in one family per x letter a, tagged [a], except that the letters
-n-1 and n share the family [n-1]: every check they make is vacuous.
-Phases 5-6 run in one family per x family a and bound s = min(a+v, n),
-tagged [a,s], where v is the y letter: the probe rejects a letter over
-s and the overflow check one over s+1, so every pair with a+v >= n (no
-letter exceeds n) shares the family [a,n].  Phase 7 checks nothing and
-runs once for every x.
+The finite control keeps only what its rules read, so no two of its
+states are equivalent.  Phases 3-4 run in one family per x letter a,
+tagged [a], except that the letters n-1 and n share the family [n-1]:
+every check they make is vacuous.  A pair's sum and probe run in one
+family per x family a and bound s = min(a+v, n), tagged [a,s], where v
+is the y letter: the probe rejects a letter over s, so every pair with
+a+v >= n (no letter exceeds n) shares the family [a,n].  A sum that
+overruns the tape checks one over s instead, so its overflow tail is
+tagged [a,o] with o = min(s+1, n): the pairs [a,n-1] and [a,n] share the
+tail [a,n], whose check is vacuous.  The walk back to the y
+(step5.ff[a], step6.back[a]) and the crossing of the next partner
+(step4.cross[a]) check nothing, so every pair of the family shares
+them.  Phase 7 checks nothing and runs once for every x.
 
 Phase 7's cleanup is implemented as: walk left to the rightmost x
 restoring ys and blanking tracks 3-4, then keep walking to the origin
@@ -76,8 +81,8 @@ T1, T2, T3, T4, T5 = range(5)
 ORIGIN = "#"
 
 # Largest depth build_kn_machine accepts.  Its states and rules grow as
-# n^2: on a 2-CPU VM with Python 3.11, depth 24 builds in about 0.07 s at
-# 23 MB peak RSS and depth 32 in 0.13 s at 30 MB.
+# n^2: on a 2-CPU VM with Python 3.11, depth 24 builds in about 0.03 s at
+# 21 MB peak RSS and depth 32 in 0.05 s at 26 MB.
 MAX_MACHINE_DEPTH = 24
 
 
@@ -111,7 +116,8 @@ def build_k3_machine() -> CompiledMachine:
     # 3: sum i+i on track 4 and probe cell 2i for a 3 (over 1+1, the
     # limit for every pair here, since x and y only ever cover 1s)
     _emit_double(b, "", on_overflow="step3.sweep")
-    _emit_probe(b, "step3", "", letters, limit=2, home="x", then="step4.scan")
+    _emit_probe(b, "step3.check", letters, limit=2, then="step3.back")
+    _emit_back(b, "step3.back", letters, home="x", then="step4.scan")
     # 2i ran off the tape: mark the leftovers consumed and move to phase 4
     _emit_spend_rest(b, "step3.sweep", then="step4.seek")
     _emit_back_to_x(b, "step4.seek", "step4.atx", "x", then="step4.scan")
@@ -135,7 +141,8 @@ def build_k3_machine() -> CompiledMachine:
     b.add("step5.aty", when={T1: "y"}, move=RIGHT, goto="step7.scan")
 
     # 6: probe cell i+j for a 3, then return to the newest y
-    _emit_probe(b, "step6", "", letters, limit=2, home="y", then="step7.scan")
+    _emit_probe(b, "step6.check", letters, limit=2, then="step6.back")
+    _emit_back(b, "step6.back", letters, home="y", then="step7.scan")
 
     # 7: restore and advance the x; 2s and 3s pass unchanged
     _emit_restore(b, "", {"y": "1", "2": "2", "3": "3"}, "x", then="step2.scan")
@@ -190,9 +197,9 @@ def build_kn_machine(n: int) -> CompiledMachine:
     # share the last primary family
     for a in range(1, n):
         x = xmarks[a - 1:] if a == n - 1 else xmarks[a - 1]
-        _emit_primary_states(b, a, n, letters, x)
+        _emit_primary_states(b, a, n, letters, x, ymarks)
         for s in range(a + 1, n + 1):
-            _emit_pair_states(b, a, s, letters, ymarks)
+            _emit_pair_states(b, a, s, n, letters)
     # 7: walking left, the first x past the ys is the current one, and
     # track 2 marks it too, so the cleanup matches any x mark
     _emit_restore(b, "", dict(zip(ymarks, letters)), xmarks, then="step2.cross")
@@ -200,15 +207,18 @@ def build_kn_machine(n: int) -> CompiledMachine:
     return b.compile()
 
 
-def _emit_primary_states(b, a, n, letters, x) -> None:
-    """Phase 3 for the x family a, whose x marks are ``x``, plus its
-    phase 4 crossing: a partner of letter v enters the pair family
-    [a, min(a+v, n)]."""
+def _emit_primary_states(b, a, n, letters, x, ymarks) -> None:
+    """Phase 3 for the x family a, whose x marks are ``x``; its phase 4
+    crossing, where a partner of letter v enters the pair family
+    [a, min(a+v, n)] and the right marker phase 7; and the states every
+    pair of the family shares: the overflow tails [a,o], one per bound
+    o = min(s+1, n) they check, and the walk back to the y."""
     sa = f"[{a}]"
     _emit_double(b, sa, on_overflow=f"step3.osweep{sa}")
     # i+i <= length: first condition at cell 2i (always an unmarked letter)
-    _emit_probe(b, "step3", sa, letters, limit=a + a, home=x,
-                then=f"step4.cross{sa}")
+    _emit_probe(b, f"step3.check{sa}", letters, limit=a + a,
+                then=f"step3.back{sa}")
+    _emit_back(b, f"step3.back{sa}", letters, home=x, then=f"step4.cross{sa}")
 
     # i+i overran the tape: re-anchor the leftover units as the overflow
     # prefix, then check the shifted condition if it has a target
@@ -225,18 +235,34 @@ def _emit_primary_states(b, a, n, letters, x) -> None:
     _emit_back_to_x(b, f"step3.oseek{sa}", f"step3.oatx{sa}", x,
                     then=f"step4.cross{sa}")
 
-    # 4 / 7: mark the next position as a partner, or restore and advance
-    for phase in ("step4", "step7"):
-        b.add(f"{phase}.cross{sa}", marker="]", move=LEFT, goto="step7.restore")
-        for v, sym in enumerate(letters, start=1):
-            b.add(f"{phase}.cross{sa}", when={T1: sym},
-                  write={T1: "y" + sym, T3: "1"},
-                  goto=f"step5.take[{a},{min(a + v, n)}]")
+    # 4: mark the next position as a partner; past the last, phase 7
+    # restores the partners and advances the x
+    b.add(f"step4.cross{sa}", marker="]", move=LEFT, goto="step7.restore")
+    for v, sym in enumerate(letters, start=1):
+        b.add(f"step4.cross{sa}", when={T1: sym},
+              write={T1: "y" + sym, T3: "1"},
+              goto=f"step5.take[{a},{min(a + v, n)}]")
+
+    # i+j overran: grow the overflow prefix by one and check the shifted
+    # condition, skipping the vacuous i+j = length+1 case; one tail per
+    # bound o = min(s+1, n), so [a,n-1] and [a,n] share the tail [a,n]
+    for o in range(min(a + 2, n), n + 1):
+        sao = f"[{a},{o}]"
+        _emit_overflow_tail(b, "step5", sao, letters,
+                            filled=f"step5.oprobe{sao}", limit=o,
+                            then=f"step5.ff{sa}")
+    # back from the sum to the y, then cross the next partner
+    _emit_forward(b, f"step5.ff{sa}", then=f"step6.back{sa}")
+    _emit_back(b, f"step6.back{sa}", letters, home=ymarks,
+               then=f"step4.cross{sa}")
 
 
-def _emit_pair_states(b, a, s, letters, ymarks) -> None:
+def _emit_pair_states(b, a, s, n, letters) -> None:
     """Phases 5 and 6 for a pair whose letters sum to s (to at least s
-    when s = n, where no check can fail), with the x family a."""
+    when s = n, where no check can fail), with the x family a: one more
+    unit onto the sum, then the probe, which returns through the
+    family's step6.back[a]; a sum that overruns enters the family's
+    overflow tail [a, min(s+1, n)]."""
     sab = f"[{a},{s}]"
     # 5: one more unit onto the sum; writing it lands on cell i+j
     b.add(f"step5.take{sab}", when={T3: "1"}, write={T3: "c"}, move=RIGHT,
@@ -244,20 +270,16 @@ def _emit_pair_states(b, a, s, letters, ymarks) -> None:
     b.add(f"step5.put{sab}", when={T4: "1"}, move=RIGHT, goto=f"step5.put{sab}")
     b.add(f"step5.put{sab}", when={T4: BLANK}, write={T4: "1"},
           goto=f"step6.check{sab}")
-    b.add(f"step5.put{sab}", marker="]", move=LEFT, goto=f"step5.osweep{sab}")
+    b.add(f"step5.put{sab}", marker="]", move=LEFT,
+          goto=f"step5.osweep[{a},{min(s + 1, n)}]")
     # 6: first condition at cell i+j (always right of the y, unmarked)
-    _emit_probe(b, "step6", sab, letters, limit=s, home=ymarks,
-                then=f"step7.cross[{a}]")
-    # i+j overran: grow the overflow prefix by one and check the shifted
-    # condition, skipping the vacuous i+j = length+1 case
-    _emit_overflow_tail(b, "step5", sab, letters, filled=f"step5.oprobe{sab}",
-                        limit=s + 1, then=f"step5.ff{sab}")
-    _emit_forward(b, f"step5.ff{sab}", then=f"step6.back{sab}")
+    _emit_probe(b, f"step6.check{sab}", letters, limit=s,
+                then=f"step6.back[{a}]")
 
 
 # The phase emitters below serve both machines; a state-name ``tag`` is
 # "" in the depth-3 machine and in K_n's phase 7, and the family suffix
-# "[a]" or "[a,s]" else.
+# "[a]" or "[a,o]" else.
 # ``letters`` is "1".."n" in order, so letters[:limit] are those <= limit.
 
 
@@ -324,13 +346,17 @@ def _emit_double(b, tag, on_overflow) -> None:
     _emit_goto_last(b, f"step3.goto{tag}", T4, then=f"step3.check{tag}")
 
 
-def _emit_probe(b, phase, tag, letters, *, limit, home, then) -> None:
+def _emit_probe(b, check, letters, *, limit, then) -> None:
     """First condition at the probed, unmarked cell: reject a letter over
-    ``limit``, else return right of the ``home`` mark."""
-    check, back = f"{phase}.check{tag}", f"{phase}.back{tag}"
-    b.add(check, when={T1: letters[:limit]}, move=LEFT, goto=back)
+    ``limit``, else step left and go to ``then``."""
+    b.add(check, when={T1: letters[:limit]}, move=LEFT, goto=then)
     if limit < len(letters):
         b.add(check, when={T1: letters[limit:]}, goto=REJECT)
+
+
+def _emit_back(b, back, letters, *, home, then) -> None:
+    """Walk left over unmarked letters to the ``home`` mark and go to
+    ``then`` right of it."""
     b.add(back, when={T1: home}, move=RIGHT, goto=then)
     b.add(back, when={T1: letters}, move=LEFT, goto=back)
 

@@ -17,12 +17,12 @@ sweeps over thousands of inputs affordable.
 Beside the table, each (state, direction) pair keeps a sweep set: the
 cells whose resolved entry in that state writes nothing, moves that way
 and stays in the state.  Most steps of the shipped machines are such
-passes over a stretch of tape, so an untraced run takes a whole stretch
-in one inner loop (pos += d while tape[pos] is in the sweep set) and
-adds its length to the step count.  The sets fill as resolve stores
-entries, so they are as lazy as the table; end-marker cells never join
-one, which stops every sweep at the tape's ends.  A traced run
-single-steps.
+passes over a stretch of tape, so a run takes a whole stretch in one
+inner loop (pos += d while tape[pos] is in the sweep set) and adds its
+length to the step count.  The sets fill as resolve stores entries, so
+they are as lazy as the table; end-marker cells never join one, which
+stops every sweep at the tape's ends.  A traced run single-steps while
+it records, and sweeps once its trace is full.
 
 Cell accounting convention: cells_used reported by a run is
 
@@ -334,7 +334,8 @@ def run(
     is followed by the whole stretch of cells in that state's sweep set
     in one inner loop; each cell still counts as one step, so steps,
     cells_used and the budget trip are those of single steps.  With
-    ``want_trace`` every step is taken and recorded singly.  Raises
+    ``want_trace`` the first TRACE_LIMIT steps are taken and recorded
+    singly, and the rest sweep as without a trace.  Raises
     StepBudgetExceeded if no verdict is reached within ``max_steps`` (steps
     grow as Theta(l^3): K_3 needs 1,043,037 for witness_kunz(3, 79), of
     length 159, so long words pass the default 10^6 without any bug),
@@ -385,9 +386,11 @@ def run(
         if pos < 0 or pos >= end:
             verdict = REJECT  # moving past an end marker rejects
             break
-        if nxt == state and new_cell == cell and move and trace is None:
-            # a pass: take the rest of the stretch at once; it never halts,
-            # and a marker cell, in no sweep set, ends it inside the tape
+        if (nxt == state and new_cell == cell and move
+                and (trace is None or truncated)):
+            # a pass, with no trace entry to record: take the rest of the
+            # stretch at once; it never halts, and a marker cell, in no
+            # sweep set, ends it inside the tape
             sweep = sweeps[state, move]
             start = pos
             while tape[pos] in sweep:

@@ -92,6 +92,38 @@ def all_words(alphabet, max_len):
             yield Word(letters)
 
 
+def naive_run(machine, word, max_steps=10**7):
+    """The JSON fields of a run of ``machine`` on ``word``, one step at a
+    time: each step reads its (state, cell) entry from the table or
+    resolves it, with no sweeps.  Moving past an end marker rejects; the
+    cells used are the tracks times the head positions visited."""
+    tape = [0] + [machine.letter_cell[letter] for letter in word] + [1]
+    pos = lowest = highest = 1
+    state = machine.start_id
+    steps = 0
+    while True:
+        entry = machine.table[state].get(tape[pos])
+        if entry is None:
+            entry = machine.resolve(state, tape[pos])
+        tape[pos], move, state = entry
+        steps += 1
+        assert steps <= max_steps, "naive_run ran out of steps"
+        pos += move
+        if not 0 <= pos < len(tape):
+            verdict = "reject"
+            break
+        lowest, highest = min(lowest, pos), max(highest, pos)
+        if state < 0:
+            verdict = "accept" if state == -1 else "reject"
+            break
+    return {
+        "verdict": verdict,
+        "steps": steps,
+        "cells_used": machine.track_count * (highest - lowest + 1),
+        "bound": machine.bound_factor * max(len(word), 10),
+    }
+
+
 @pytest.fixture(scope="session")
 def k3_machine():
     from kunzlab.lba import build_k3_machine

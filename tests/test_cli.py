@@ -238,6 +238,16 @@ def test_lba_trace_goes_to_stderr(capsys):
     assert len(lines[0].split("\t")) == 3 + 5
 
 
+def test_lba_long_trace_is_truncated(capsys):
+    argv = ["lba", "--depth", "3", "--word", ",".join(["3"] + ["1"] * 25)]
+    code, out, err = run_cli(capsys, *argv, "--trace")
+    lines = err.splitlines()
+    assert len(lines) == 10_000 + 1
+    assert all(len(line.split("\t")) == 3 + 5 for line in lines[:-1])
+    assert lines[-1] == "... trace truncated"
+    assert (code, out, "") == run_cli(capsys, *argv)
+
+
 def test_witness_commands(capsys):
     code, out, _ = run_cli(capsys, "witness", "--kunz", "3", "2")
     assert code == 0

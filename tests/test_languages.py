@@ -7,6 +7,7 @@ from kunzlab import (
     InvalidDecomposition,
     LetterOutOfAlphabet,
     NoRefutation,
+    PositionMarking,
     ResourceBound,
     Word,
     bader_moura_refute,
@@ -53,6 +54,9 @@ def test_dfa_validation():
     with pytest.raises(DomainError):
         Dfa(states=frozenset({0}), alphabet=frozenset({1}),
             transition={(0, 1): 0}, start=1, accepting=frozenset())
+    with pytest.raises(DomainError, match="accepting states unknown"):
+        Dfa(states=frozenset({0}), alphabet=frozenset({1}),
+            transition={(0, 1): 0}, start=0, accepting=frozenset({1}))
 
 
 def test_dfa_k2_equals_membership_oracle():
@@ -205,6 +209,12 @@ def test_pump_validation():
         pump(w, Decomposition(cuts=(0, 1, 2, 7)), 1)
     with pytest.raises(DomainError):
         pump(w, Decomposition(cuts=(0, 1, 1, 2)), -1)
+    with pytest.raises(DomainError, match="overlap"):
+        PositionMarking(distinguished=frozenset({1}), excluded=frozenset({1, 2}))
+    with pytest.raises(DomainError, match="1-based"):
+        PositionMarking(distinguished=frozenset({0}), excluded=frozenset())
+    with pytest.raises(DomainError, match="each of 2..5"):
+        mark_for_refutation(Word((1, 2, 3, 5)), 5)  # no 4
 
 
 def test_marking_of_witness():
@@ -241,6 +251,10 @@ def test_refute_refuses_small_depths():
         bader_moura_refute(4, 1, 4)
     with pytest.raises(DomainError):
         bader_moura_refute(3, 1, 4)
+    with pytest.raises(DomainError, match="p must be"):
+        bader_moura_refute(5, 0, 4)
+    with pytest.raises(DomainError, match="k_max must be"):
+        bader_moura_refute(5, 1, -1)
 
 
 def test_refute_resource_bound():

@@ -22,6 +22,7 @@ from kunzlab.lba import (
     build_kn_machine,
     run,
 )
+from conftest import naive_run
 
 
 @pytest.mark.parametrize(
@@ -178,18 +179,20 @@ def test_k3_long_trace_truncates(k3_machine):
     result = run(k3_machine, word, want_trace=True)
     assert result.trace_truncated
     assert len(result.trace) == 10_000
+    # past the trace the run sweeps, with the same verdict, steps and cells
+    assert result.to_json_dict() == naive_run(k3_machine, word)
 
 
-def _first_match_table(machine):
-    """Every (state, cell) transition the first matching rule gives, worked
-    out from the rules alone; a pair no rule matches is left out."""
+def _first_matches(machine):
+    """(state, cell, index of the first rule that matches, its transition)
+    for every (state, cell) pair some rule matches, worked out from the
+    rules alone."""
     state_ids = {name: idx for idx, name in enumerate(machine.state_names)}
     state_ids.update({ACCEPT: -1, REJECT: -2})
     cell_ids = {cell: idx for idx, cell in enumerate(machine.cells)}
-    table = {}
     for state, rules in enumerate(machine.rules):
         for cell, symbols in enumerate(machine.cells):
-            for rule, _ in rules:
+            for index, (rule, _) in enumerate(rules):
                 if len(symbols) == 1:  # an end marker
                     if rule.marker != symbols[0]:
                         continue
@@ -203,9 +206,37 @@ def _first_match_table(machine):
                     for track, symbol in rule.write:
                         new[track] = symbol
                     new = tuple(new)
-                table[state, cell] = (cell_ids[new], rule.move, state_ids[rule.goto])
+                yield state, cell, index, (cell_ids[new], rule.move,
+                                           state_ids[rule.goto])
                 break
-    return table
+
+
+def _first_match_table(machine):
+    """Every (state, cell) transition the first matching rule gives; a
+    pair no rule matches is left out."""
+    return {(state, cell): entry
+            for state, cell, _, entry in _first_matches(machine)}
+
+
+def _equivalence_classes(machine, table):
+    """Moore partition refinement of a first-match table: two states stay
+    in one class while, for every cell, both have no entry, or both have
+    entries with the same new cell, the same move and targets in one
+    class.  Accept and reject are classes of their own.  Returns the
+    class of each state."""
+    states = range(len(machine.state_names))
+    rows = [[(cell, *table[state, cell]) for cell in range(len(machine.cells))
+             if (state, cell) in table] for state in states]
+    classes = [0] * len(rows) + [-2, -1]  # ids -2 and -1 wrap
+    while True:
+        signatures = {}
+        refined = [signatures.setdefault(
+            (classes[state], tuple((cell, new, move, classes[target])
+                                   for cell, new, move, target in rows[state])),
+            len(signatures)) for state in states]
+        if len(signatures) == len(set(classes[:-2])):
+            return refined
+        classes = refined + [-2, -1]
 
 
 @pytest.mark.parametrize(
@@ -214,9 +245,9 @@ def _first_match_table(machine):
         (build_k3_machine,
          "7b89a9a19461f6b69d988505abe99f71472b9a4aba4ecc3d2c502b0443756046"),
         (lambda: build_kn_machine.__wrapped__(4),
-         "9b1e8ffd37c8af67b27125cca8a8d233d5a8a6406b147216cac1fb0675c07ed4"),
+         "3e688fa88d2186af733a619850961b632b27cd0a154d1963604c81230e381f52"),
         (lambda: build_kn_machine.__wrapped__(5),
-         "ccd3b6e73dd7e1a25c7f123ad835c33c90f082a43201a107d68603d61dff6640"),
+         "844ed41304921f38e2fac9bc90b1cf835ff2ba5556d2d537f57453794d2d35bd"),
     ],
     ids=["k3", "k4", "k5"],
 )
@@ -277,11 +308,37 @@ def test_kn_step_counts_are_pinned(depth, word, steps, verdict):
     assert (result.steps, result.verdict) == (steps, verdict)
 
 
-@pytest.mark.parametrize("depth,most", [(4, 123), (5, 181), (6, 249)])
+@pytest.mark.parametrize("depth,most", [(4, 104), (5, 150), (6, 204)])
 def test_kn_state_count(depth, most):
-    """One pair family per x family and checked bound, one shared family
-    for the x letters n-1 and n, and one phase 7."""
+    """One pair family per x family and checked bound, one crossing, one
+    walk back and one overflow tail per checked bound for each x family,
+    one shared family for the x letters n-1 and n, and one phase 7."""
     assert len(build_kn_machine(depth).state_names) <= most
+
+
+@pytest.mark.parametrize(
+    "build",
+    [build_k3_machine] + [lambda n=n: build_kn_machine(n) for n in (3, 4, 5)],
+    ids=["k3", "kn3", "k4", "k5"],
+)
+def test_machines_are_minimal(build):
+    """Every rule is the first match for some cell, every state but the
+    start is some rule's target, and no two states are equivalent."""
+    machine = build()
+    matches = list(_first_matches(machine))
+    fired = {(state, index) for state, _, index, _ in matches}
+    for state, rules in enumerate(machine.rules):
+        for index in range(len(rules)):
+            assert (state, index) in fired, (machine.state_names[state], index)
+    targets = {target for rules in machine.rules for _, target in rules}
+    for state, name in enumerate(machine.state_names):
+        assert state == machine.start_id or state in targets, name
+    table = {(state, cell): entry for state, cell, _, entry in matches}
+    classes = _equivalence_classes(machine, table)
+    twins = {}
+    for name, cls in zip(machine.state_names, classes):
+        twins.setdefault(cls, []).append(name)
+    assert [names for names in twins.values() if len(names) > 1] == []
 
 
 @pytest.mark.parametrize("depth", [MAX_MACHINE_DEPTH + 1, 10**9,
@@ -292,8 +349,9 @@ def test_kn_depth_ceiling(depth):
 
 
 # ---------------------------------------------------------------------------
-# Sweeps: an untraced run takes a pass over a stretch of cells in one inner
-# loop, a traced run single-steps, so the traced run is the oracle.
+# Sweeps: a run takes a pass over a stretch of cells in one inner loop
+# unless it still records a trace, so naive_run, one table read or
+# resolve per step, is the oracle.
 
 SWEEP_MACHINES = [
     (3, build_k3_machine),
@@ -316,8 +374,10 @@ def _block_words(q):
 def _assert_same_as_single_steps(machine, word):
     fast = run(machine, word)
     assert fast.trace is None
-    single = run(machine, word, want_trace=True)
-    assert fast.to_json_dict() == single.to_json_dict()
+    assert fast.to_json_dict() == naive_run(machine, word)
+    traced = run(machine, word, want_trace=True)
+    assert traced.to_json_dict() == fast.to_json_dict()
+    assert len(traced.trace) == min(fast.steps, 10_000)
     return fast
 
 

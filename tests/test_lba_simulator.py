@@ -33,8 +33,8 @@ def two_track_builder(**kwargs):
     )
 
 
-def contains_two_machine():
-    b = two_track_builder()
+def contains_two_machine(**kwargs):
+    b = two_track_builder(**kwargs)
     b.add("go", when={0: "2"}, goto=ACCEPT)
     b.add("go", when={0: {"1", "3"}}, move=RIGHT, goto="go")
     b.add("go", marker="]", goto=REJECT)
@@ -57,6 +57,9 @@ def test_steps_and_cells_accounting():
     result = run(m, Word((1, 1, 1)))
     assert result.cells_used == 2 * 4  # right marker visited too
     assert result.bound == 20 * 10
+    # six positions on two tracks are over a bound of 1 * max(5, 10)
+    with pytest.raises(MachineDefinitionError, match="over its advertised bound 10"):
+        run(contains_two_machine(bound_factor=1), Word((1,) * 5))
 
 
 def test_letter_out_of_alphabet():
@@ -75,6 +78,8 @@ def test_step_budget():
     m = b.compile()
     with pytest.raises(StepBudgetExceeded):
         run(m, Word((1, 1, 1)), max_steps=50)
+    with pytest.raises(DomainError, match="at least 1"):
+        run(m, Word((1, 1, 1)), max_steps=0)
 
 
 def test_sweep_from_a_marker_stops_at_the_other_marker():
@@ -143,6 +148,14 @@ def test_builder_validation():
     b.add("go", goto="nowhere")
     with pytest.raises(MachineDefinitionError):
         b.compile()
+    for tracks, alphabet, message in [
+        ([("1", "]")], (1,), "reserved"),
+        ([("1",)], (1, 2), "letter 2 missing"),
+        ([("1",), ("1",)], (1,), "scratch track 2 must allow blanks"),
+    ]:
+        with pytest.raises(DomainError, match=message):
+            MachineBuilder("toy", track_symbols=tracks, input_alphabet=alphabet,
+                           bound_factor=1, start="go")
 
 
 def test_compile_checks_shadowed_goto():

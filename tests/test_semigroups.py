@@ -211,6 +211,8 @@ def test_constructor_validation():
         NumericalSemigroup(small_elements=(1, 3), conductor=3)  # no 0
     with pytest.raises(DomainError):
         NumericalSemigroup(small_elements=(0, 3), conductor=5)  # wrong max
+    with pytest.raises(DomainError, match="strictly ascending"):
+        NumericalSemigroup(small_elements=(0, 3, 3, 5), conductor=5)
     with pytest.raises(DomainError):
         # 3 + 3 = 6 <= 7 missing: not closed
         NumericalSemigroup(small_elements=(0, 3, 7), conductor=7)
@@ -292,6 +294,10 @@ def test_tuples_are_validated_where_they_enter(monkeypatch):
 def test_enumerate_resource_bound():
     with pytest.raises(ResourceBound):
         enumerate_semigroups(7, 4, search_ceiling=10)
+    with pytest.raises(DomainError, match="max_multiplicity"):
+        enumerate_semigroups(0, 1)
+    with pytest.raises(DomainError, match="max_depth"):
+        enumerate_semigroups(2, -1)
 
 
 def test_census_invariants():

@@ -199,3 +199,5 @@ def test_witness_domain_errors():
         witness_kunz(3, 0)
     with pytest.raises(DomainError):
         witness_nonkunz(3, 1, 0)
+    with pytest.raises(DomainError, match="q >= 3"):
+        witness_nonkunz(2, 1, 1)
