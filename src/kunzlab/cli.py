@@ -8,6 +8,11 @@ cofinite), 2 for usage or parse errors and ceilings (ResourceBound), 3
 for an internal fault: a machine run that did not finish
 (StepBudgetExceeded, MachineDefinitionError) or a result that failed
 its own re-verification (SelfCheckFailed).
+
+Each subcommand imports the modules it needs when it runs, so parsing
+and --help load no computational module and only ``lba`` loads the
+machines.  Ceiling and budget flags default to None, which leaves the
+library's own default in force.
 """
 
 from __future__ import annotations
@@ -16,7 +21,6 @@ import argparse
 import json
 import sys
 
-from . import lba
 from .errors import (
     DomainError,
     KunzlabError,
@@ -26,22 +30,6 @@ from .errors import (
     NotKunz,
     SelfCheckFailed,
     StepBudgetExceeded,
-)
-from .languages import (
-    DEFAULT_CANDIDATE_CEILING,
-    bader_moura_refute,
-    count_kunz,
-    enumerate_kunz,
-    nerode_evidence,
-)
-from .semigroups import from_generators
-from .words import (
-    Word,
-    is_kunz,
-    to_semigroup,
-    violations,
-    witness_kunz,
-    witness_nonkunz,
 )
 
 EXIT_OK = 0
@@ -54,7 +42,15 @@ def _emit(obj) -> None:
     print(json.dumps(obj))
 
 
+def _given(**options) -> dict:
+    """The options set on the command line; the rest keep the library's
+    defaults."""
+    return {name: value for name, value in options.items() if value is not None}
+
+
 def cmd_validate(args) -> int:
+    from .words import Word, violations
+
     word = Word.parse(args.word)
     found = violations(word)  # refuses an over-long word; empty iff Kunz
     kunz = not found
@@ -71,38 +67,46 @@ def cmd_validate(args) -> int:
 
 def cmd_semigroup(args) -> int:
     if args.gens is not None:
+        from .semigroups import from_generators
+
         try:
             gens = [int(part) for part in args.gens.split(",") if part.strip()]
         except ValueError as exc:
             raise DomainError(f"cannot parse generators {args.gens!r}") from exc
         semigroup = from_generators(gens)
     else:
+        from .words import Word, to_semigroup
+
         semigroup = to_semigroup(Word.parse(args.word))
     _emit(semigroup.to_json_dict())
     return EXIT_OK
 
 
 def cmd_enumerate(args) -> int:
+    from .languages import count_kunz, enumerate_kunz
+
+    ceiling = _given(max_candidates=args.max_candidates)
     if args.count_only:
-        count = count_kunz(args.depth, args.length,
-                           max_candidates=args.max_candidates)
+        count = count_kunz(args.depth, args.length, **ceiling)
         print("q,length,count")
         print(f"{args.depth},{args.length},{count}")
     else:
-        words = enumerate_kunz(args.depth, args.length,
-                               max_candidates=args.max_candidates)
+        words = enumerate_kunz(args.depth, args.length, **ceiling)
         _emit([str(w) for w in words])
     return EXIT_OK
 
 
 def cmd_lba(args) -> int:
+    from . import lba
+    from .words import Word
+
     if args.depth == 3:
         machine = lba.build_k3_machine()
     else:
         machine = lba.build_kn_machine(args.depth)
     word = Word.parse(args.word)
-    result = lba.run(machine, word, max_steps=args.max_steps,
-                     want_trace=args.trace)
+    result = lba.run(machine, word, want_trace=args.trace,
+                     **_given(max_steps=args.max_steps))
     if args.trace:
         for line in lba.format_trace(result):
             print(line, file=sys.stderr)
@@ -113,6 +117,8 @@ def cmd_lba(args) -> int:
 
 
 def cmd_witness(args) -> int:
+    from .words import is_kunz, witness_kunz, witness_nonkunz
+
     if args.kunz is not None:
         q, n = args.kunz
         word = witness_kunz(q, n)
@@ -124,15 +130,19 @@ def cmd_witness(args) -> int:
 
 
 def cmd_nerode(args) -> int:
+    from .languages import nerode_evidence
+
     report = nerode_evidence(args.depth, args.max)
     _emit(report.to_json_list())
     return EXIT_OK
 
 
 def cmd_pumping(args) -> int:
+    from .languages import bader_moura_refute
+
     try:
         report = bader_moura_refute(args.depth, args.p, args.kmax,
-                                    max_candidates=args.max_candidates)
+                                    **_given(max_candidates=args.max_candidates))
     except NoRefutation as exc:
         _emit(exc.report.to_json_list())
         return EXIT_NEGATIVE
@@ -161,8 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", type=int, required=True)
     p.add_argument("--length", type=int, required=True)
     p.add_argument("--count-only", action="store_true")
-    p.add_argument("--max-candidates", type=int,
-                   default=DEFAULT_CANDIDATE_CEILING)
+    p.add_argument("--max-candidates", type=int)
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("lba", help="run the tape-bounded acceptor on a word")
@@ -170,7 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--word", required=True)
     p.add_argument("--trace", action="store_true",
                    help="dump the step trace to stderr")
-    p.add_argument("--max-steps", type=int, default=lba.DEFAULT_STEP_BUDGET)
+    p.add_argument("--max-steps", type=int)
     p.set_defaults(func=cmd_lba)
 
     p = sub.add_parser("witness", help="block witness words")
@@ -188,8 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", type=int, required=True)
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--kmax", type=int, required=True)
-    p.add_argument("--max-candidates", type=int,
-                   default=DEFAULT_CANDIDATE_CEILING)
+    p.add_argument("--max-candidates", type=int)
     p.set_defaults(func=cmd_pumping)
 
     return parser

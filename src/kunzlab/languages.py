@@ -11,10 +11,10 @@ finite, re-checkable certificate at a time.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from math import comb
 from typing import Iterator, Mapping
 
+from ._frozen import Frozen
 from .errors import (
     DomainError,
     InvalidDecomposition,
@@ -36,28 +36,34 @@ DEFAULT_CANDIDATE_CEILING = 10_000_000
 MAX_NERODE_PAIRS = 100_000_000
 
 
-@dataclass(frozen=True)
-class Dfa:
+class Dfa(Frozen):
     """Deterministic finite accepter over a set of integer letters."""
 
-    states: frozenset[int]
-    alphabet: frozenset[int]
-    transition: Mapping[tuple[int, int], int]
-    start: int
-    accepting: frozenset[int]
+    __slots__ = ("states", "alphabet", "transition", "start", "accepting")
 
-    def __post_init__(self):
-        if self.start not in self.states:
+    def __init__(
+        self,
+        states: frozenset[int],
+        alphabet: frozenset[int],
+        transition: Mapping[tuple[int, int], int],
+        start: int,
+        accepting: frozenset[int],
+    ):
+        if start not in states:
             raise DomainError("start state unknown")
-        if not self.accepting <= self.states:
+        if not accepting <= states:
             raise DomainError("accepting states unknown")
-        for state in self.states:
-            for letter in self.alphabet:
-                target = self.transition.get((state, letter))
-                if target not in self.states:
+        for state in states:
+            for letter in alphabet:
+                if transition.get((state, letter)) not in states:
                     raise DomainError(
                         f"transition not total at ({state}, {letter})"
                     )
+        object.__setattr__(self, "states", states)
+        object.__setattr__(self, "alphabet", alphabet)
+        object.__setattr__(self, "transition", transition)
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "accepting", accepting)
 
 
 def dfa_k1() -> Dfa:
@@ -193,8 +199,7 @@ def count_kunz(q: int, length: int, *, max_candidates: int = DEFAULT_CANDIDATE_C
 # Distinguishability: no finite accepter handles K_q for q >= 3
 
 
-@dataclass(frozen=True)
-class NerodeSeparation:
+class NerodeSeparation(Frozen):
     """Prefixes 1^i and 1^j told apart by one suffix.
 
     Appending ``suffix`` to 1^i lands inside K_q, appending it to 1^j
@@ -202,11 +207,14 @@ class NerodeSeparation:
     different states.
     """
 
-    i: int
-    j: int
-    suffix: Word
-    member_i: bool
-    member_j: bool
+    __slots__ = ("i", "j", "suffix", "member_i", "member_j")
+
+    def __init__(self, i: int, j: int, suffix: Word, member_i: bool, member_j: bool):
+        object.__setattr__(self, "i", i)
+        object.__setattr__(self, "j", j)
+        object.__setattr__(self, "suffix", suffix)
+        object.__setattr__(self, "member_i", member_i)
+        object.__setattr__(self, "member_j", member_j)
 
     def to_json_dict(self) -> dict:
         return {
@@ -218,11 +226,14 @@ class NerodeSeparation:
         }
 
 
-@dataclass(frozen=True)
-class NerodeReport:
-    depth: int
-    cutoff: int
-    separations: tuple[NerodeSeparation, ...]
+class NerodeReport(Frozen):
+    __slots__ = ("depth", "cutoff", "separations")
+
+    def __init__(self, depth: int, cutoff: int,
+                 separations: tuple[NerodeSeparation, ...]):
+        object.__setattr__(self, "depth", depth)
+        object.__setattr__(self, "cutoff", cutoff)
+        object.__setattr__(self, "separations", separations)
 
     def to_json_list(self) -> list[dict]:
         return [s.to_json_dict() for s in self.separations]
@@ -272,17 +283,17 @@ def nerode_evidence(q: int, cutoff: int) -> NerodeReport:
 # context-free for q >= 5
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(Frozen):
     """Cut points 0 <= c1 <= c2 <= c3 <= c4 <= l splitting a word into
     u = w[:c1], v = w[c1:c2], x = w[c2:c3], y = w[c3:c4], z = w[c4:]."""
 
-    cuts: tuple[int, int, int, int]
+    __slots__ = ("cuts",)
 
-    def __post_init__(self):
-        c1, c2, c3, c4 = self.cuts
+    def __init__(self, cuts: tuple[int, int, int, int]):
+        c1, c2, c3, c4 = cuts
         if not (0 <= c1 <= c2 <= c3 <= c4):
-            raise InvalidDecomposition(f"cuts {self.cuts} are not ascending")
+            raise InvalidDecomposition(f"cuts {cuts} are not ascending")
+        object.__setattr__(self, "cuts", cuts)
 
     def parts(self, word: Word) -> tuple[Word, Word, Word, Word, Word]:
         c1, c2, c3, c4 = self.cuts
@@ -300,19 +311,19 @@ class Decomposition:
         )
 
 
-@dataclass(frozen=True)
-class PositionMarking:
+class PositionMarking(Frozen):
     """Disjoint sets of 1-based positions: distinguished and excluded."""
 
-    distinguished: frozenset[int]
-    excluded: frozenset[int]
+    __slots__ = ("distinguished", "excluded")
 
-    def __post_init__(self):
-        if self.distinguished & self.excluded:
+    def __init__(self, distinguished: frozenset[int], excluded: frozenset[int]):
+        if distinguished & excluded:
             raise DomainError("distinguished and excluded positions overlap")
-        for pos in self.distinguished | self.excluded:
+        for pos in distinguished | excluded:
             if pos < 1:
                 raise DomainError("positions are 1-based")
+        object.__setattr__(self, "distinguished", distinguished)
+        object.__setattr__(self, "excluded", excluded)
 
     def count_in(self, lo: int, hi: int) -> tuple[int, int]:
         """(distinguished, excluded) counts among positions lo+1 .. hi."""
@@ -329,16 +340,25 @@ def pump(word: Word, decomposition: Decomposition, k: int) -> Word:
     return Word(u.letters + v.letters * k + x.letters + y.letters * k + z.letters)
 
 
-@dataclass(frozen=True)
-class RefutationRecord:
-    decomposition: Decomposition
-    d_vy: int
-    e_vy: int
-    d_vxy: int
-    e_vxy: int
-    k: int | None
-    pumped: Word | None
-    reason: str | None  # "not_kunz" | "wrong_depth" | None when unrefuted
+class RefutationRecord(Frozen):
+    """One admitted decomposition and the pumping count, pumped word and
+    reason ("not_kunz" or "wrong_depth") that refuted it; k, pumped and
+    reason are None when it survived."""
+
+    __slots__ = ("decomposition", "d_vy", "e_vy", "d_vxy", "e_vxy",
+                 "k", "pumped", "reason")
+
+    def __init__(self, decomposition: Decomposition, d_vy: int, e_vy: int,
+                 d_vxy: int, e_vxy: int, k: int | None, pumped: Word | None,
+                 reason: str | None):
+        object.__setattr__(self, "decomposition", decomposition)
+        object.__setattr__(self, "d_vy", d_vy)
+        object.__setattr__(self, "e_vy", e_vy)
+        object.__setattr__(self, "d_vxy", d_vxy)
+        object.__setattr__(self, "e_vxy", e_vxy)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "pumped", pumped)
+        object.__setattr__(self, "reason", reason)
 
     def to_json_dict(self) -> dict:
         return {
@@ -353,14 +373,17 @@ class RefutationRecord:
         }
 
 
-@dataclass(frozen=True)
-class RefutationReport:
-    depth: int
-    p: int
-    k_max: int
-    word: Word
-    marking: PositionMarking
-    records: tuple[RefutationRecord, ...]
+class RefutationReport(Frozen):
+    __slots__ = ("depth", "p", "k_max", "word", "marking", "records")
+
+    def __init__(self, depth: int, p: int, k_max: int, word: Word,
+                 marking: PositionMarking, records: tuple[RefutationRecord, ...]):
+        object.__setattr__(self, "depth", depth)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "k_max", k_max)
+        object.__setattr__(self, "word", word)
+        object.__setattr__(self, "marking", marking)
+        object.__setattr__(self, "records", records)
 
     @property
     def unrefuted(self) -> tuple[RefutationRecord, ...]:

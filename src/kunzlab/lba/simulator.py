@@ -40,9 +40,10 @@ measured against max(l, 10).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
+from .._frozen import Frozen, Value
 from ..errors import (
     DomainError,
     LetterOutOfAlphabet,
@@ -69,8 +70,7 @@ STAY = 0
 RIGHT = +1
 
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(Frozen):
     """One guarded transition of a state.
 
     ``when`` constrains chosen tracks to symbol sets (missing tracks are
@@ -79,11 +79,16 @@ class Rule:
     they were added and the first match wins.
     """
 
-    when: tuple[tuple[int, frozenset[str]], ...]
-    marker: str | None
-    write: tuple[tuple[int, str], ...]
-    move: int
-    goto: str
+    __slots__ = ("when", "marker", "write", "move", "goto")
+
+    def __init__(self, when: tuple[tuple[int, frozenset[str]], ...],
+                 marker: str | None, write: tuple[tuple[int, str], ...],
+                 move: int, goto: str):
+        object.__setattr__(self, "when", when)
+        object.__setattr__(self, "marker", marker)
+        object.__setattr__(self, "write", write)
+        object.__setattr__(self, "move", move)
+        object.__setattr__(self, "goto", goto)
 
 
 class MachineBuilder:
@@ -210,8 +215,7 @@ class MachineBuilder:
         )
 
 
-@dataclass(frozen=True)
-class CompiledMachine:
+class CompiledMachine(Frozen):
     """Numbered states and cells, the rules, and a memoised transition table.
 
     table[state_id] maps a cell_id to (new_cell_id, move, next_state_id),
@@ -227,18 +231,37 @@ class CompiledMachine:
     never join it.
     """
 
-    name: str
-    track_count: int
-    input_alphabet: frozenset[int]
-    bound_factor: int
-    start_id: int
-    state_names: tuple[str, ...]
-    cells: tuple[tuple[str, ...], ...]
-    cell_ids: dict[tuple[str, ...], int]
-    letter_cell: dict[int, int]
-    rules: tuple[tuple[tuple[Rule, int], ...], ...]
-    table: list[dict[int, tuple[int, int, int]]]
-    sweeps: dict[tuple[int, int], set[int]]
+    __slots__ = ("name", "track_count", "input_alphabet", "bound_factor",
+                 "start_id", "state_names", "cells", "cell_ids", "letter_cell",
+                 "rules", "table", "sweeps")
+
+    def __init__(
+        self,
+        name: str,
+        track_count: int,
+        input_alphabet: frozenset[int],
+        bound_factor: int,
+        start_id: int,
+        state_names: tuple[str, ...],
+        cells: tuple[tuple[str, ...], ...],
+        cell_ids: dict[tuple[str, ...], int],
+        letter_cell: dict[int, int],
+        rules: tuple[tuple[tuple[Rule, int], ...], ...],
+        table: list[dict[int, tuple[int, int, int]]],
+        sweeps: dict[tuple[int, int], set[int]],
+    ):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "track_count", track_count)
+        object.__setattr__(self, "input_alphabet", input_alphabet)
+        object.__setattr__(self, "bound_factor", bound_factor)
+        object.__setattr__(self, "start_id", start_id)
+        object.__setattr__(self, "state_names", state_names)
+        object.__setattr__(self, "cells", cells)
+        object.__setattr__(self, "cell_ids", cell_ids)
+        object.__setattr__(self, "letter_cell", letter_cell)
+        object.__setattr__(self, "rules", rules)
+        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "sweeps", sweeps)
 
     def resolve(self, state: int, cell: int) -> tuple[int, int, int]:
         """The entry for (state, cell): the first of the state's rules that
@@ -273,22 +296,32 @@ class CompiledMachine:
         )
 
 
-@dataclass(frozen=True)
-class TraceEntry:
-    step: int
-    head: int
-    macro: str
-    tracks: tuple[str, ...]
+class TraceEntry(Value):
+    """The configuration before one step: tracks holds each track
+    rendered over the whole tape, markers included."""
+
+    __slots__ = ("step", "head", "macro", "tracks")
+
+    def __init__(self, step: int, head: int, macro: str, tracks: tuple[str, ...]):
+        object.__setattr__(self, "step", step)
+        object.__setattr__(self, "head", head)
+        object.__setattr__(self, "macro", macro)
+        object.__setattr__(self, "tracks", tracks)
 
 
-@dataclass(frozen=True)
-class RunResult:
-    verdict: str  # "accept" | "reject"
-    steps: int
-    cells_used: int
-    bound: int
-    trace: tuple[TraceEntry, ...] | None = None
-    trace_truncated: bool = False
+class RunResult(Value):
+    __slots__ = ("verdict", "steps", "cells_used", "bound", "trace",
+                 "trace_truncated")
+
+    def __init__(self, verdict: str, steps: int, cells_used: int, bound: int,
+                 trace: tuple[TraceEntry, ...] | None = None,
+                 trace_truncated: bool = False):
+        object.__setattr__(self, "verdict", verdict)  # "accept" | "reject"
+        object.__setattr__(self, "steps", steps)
+        object.__setattr__(self, "cells_used", cells_used)
+        object.__setattr__(self, "bound", bound)
+        object.__setattr__(self, "trace", trace)
+        object.__setattr__(self, "trace_truncated", trace_truncated)
 
     @property
     def accepted(self) -> bool:
@@ -303,15 +336,19 @@ class RunResult:
         }
 
 
-def _render_tracks(machine: CompiledMachine, tape: list[int]) -> tuple[str, ...]:
-    rows = []
-    for track in range(machine.track_count):
-        chars = []
-        for cell_id in tape:
-            cell = machine.cells[cell_id]
-            chars.append(cell[0] if len(cell) == 1 else cell[track])
-        rows.append("".join(chars))
-    return tuple(rows)
+def _glyphs(machine: CompiledMachine) -> list[tuple[str, ...]]:
+    """Per track, the character each cell_id shows on it: the cell's
+    symbol on that track, or the end marker itself."""
+    return [
+        tuple(cell[0] if len(cell) == 1 else cell[track] for cell in machine.cells)
+        for track in range(machine.track_count)
+    ]
+
+
+def _render_tracks(glyphs: list[tuple[str, ...]], tape: list[int]) -> tuple[str, ...]:
+    # the tape holds both end markers, so the getter returns a tuple
+    pick = itemgetter(*tape)
+    return tuple(["".join(pick(row)) for row in glyphs])
 
 
 def _over_budget(
@@ -358,6 +395,7 @@ def run(
     table = machine.table
     sweeps = machine.sweeps
     trace: list[TraceEntry] | None = [] if want_trace else None
+    glyphs = _glyphs(machine) if want_trace else ()
     truncated = False
 
     while True:
@@ -369,7 +407,7 @@ def run(
                         step=steps,
                         head=pos,
                         macro=machine.state_names[state],
-                        tracks=_render_tracks(machine, tape),
+                        tracks=_render_tracks(glyphs, tape),
                     )
                 )
             else:

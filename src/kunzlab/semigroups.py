@@ -20,10 +20,10 @@ from __future__ import annotations
 import heapq
 import math
 import operator
-from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Sequence
 
+from ._frozen import Value
 from .errors import DomainError, NotCofinite, ResourceBound, _shown
 
 DEFAULT_SEARCH_CEILING = 10_000_000
@@ -35,8 +35,7 @@ DEFAULT_SEARCH_CEILING = 10_000_000
 MAX_CONDUCTOR = 2**21
 
 
-@dataclass(frozen=True)
-class AperyData:
+class AperyData(Value):
     """Least elements of S per residue class modulo the multiplicity.
 
     values[i] is the least element congruent to i (mod m); values[0] is
@@ -44,8 +43,11 @@ class AperyData:
     a positive integer for every 0 < i < m.
     """
 
-    values: tuple[int, ...]
-    kunz: tuple[int, ...]
+    __slots__ = ("values", "kunz")
+
+    def __init__(self, values: tuple[int, ...], kunz: tuple[int, ...]):
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "kunz", kunz)
 
 
 def _apery_values(members: Iterable[int], top: int, m: int) -> tuple[int, ...]:
@@ -120,8 +122,7 @@ def _check_apery(w: tuple[int, ...]) -> None:
         raise DomainError("not closed under addition: Kunz's inequalities fail")
 
 
-@dataclass(frozen=True, slots=True)
-class NumericalSemigroup:
+class NumericalSemigroup(Value):
     """A numerical semigroup, stored as its Apery tuple alone; equality
     and hash are those of the tuple.
 
@@ -130,7 +131,7 @@ class NumericalSemigroup:
     Apery tuple directly.
     """
 
-    _w: tuple[int, ...]
+    __slots__ = ("_w",)
 
     def __init__(self, small_elements: Sequence[int], conductor: int):
         small = tuple(small_elements)

@@ -17,9 +17,9 @@ from_apery's validator share one check, semigroups._letters_in_bounds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator
 
+from ._frozen import Value
 from .errors import DomainError, NotKunz, ResourceBound, _shown
 from .semigroups import NumericalSemigroup, _letters_in_bounds, _store_apery
 
@@ -34,16 +34,16 @@ SECOND = "second"
 MAX_WITNESS_LENGTH = 4096
 
 
-@dataclass(frozen=True)
-class Word:
+class Word(Value):
     """Finite sequence of positive integers; may be empty."""
 
-    letters: tuple[int, ...] = ()
+    __slots__ = ("letters",)
 
-    def __post_init__(self):
-        for u in self.letters:
+    def __init__(self, letters: tuple[int, ...] = ()):
+        for u in letters:
             if not isinstance(u, int) or u < 1:
                 raise DomainError(f"letters must be positive integers, got {u!r}")
+        object.__setattr__(self, "letters", letters)
 
     @classmethod
     def parse(cls, text: str) -> "Word":
@@ -76,18 +76,20 @@ class Word:
         return Word(self.letters + other.letters)
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(Value):
     """One failed Kunz condition, in 1-based index terms.
 
     kind is "first" (u_i + u_j < u_target with target = i+j) or "second"
     (u_i + u_j + 1 < u_target with target = i+j-(l+1)).
     """
 
-    kind: str
-    i: int
-    j: int
-    target: int
+    __slots__ = ("kind", "i", "j", "target")
+
+    def __init__(self, kind: str, i: int, j: int, target: int):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "i", i)
+        object.__setattr__(self, "j", j)
+        object.__setattr__(self, "target", target)
 
     def to_json_dict(self) -> dict:
         return {"kind": self.kind, "i": self.i, "j": self.j, "target": self.target}

@@ -315,3 +315,73 @@ def test_self_check_failure_is_internal(capsys, monkeypatch, fault, argv):
     assert out == ""
     assert err.count("\n") == 1 and err.startswith("error: ")
     assert "Traceback" not in err
+
+
+# Runs ``python -m kunzlab`` with the given arguments and prints, as the
+# last line of stderr, the modules the run loaded beyond interpreter start.
+_MODULE_PROBE = """
+import runpy, sys
+before = set(sys.modules)
+sys.argv[0] = "kunzlab"
+try:
+    runpy.run_module("kunzlab", run_name="__main__", alter_sys=True)
+except SystemExit:
+    pass
+print(" ".join(sorted(set(sys.modules) - before)), file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["--help"],
+    ["validate", "1,2,3"],
+    ["semigroup", "--gens", "3,5,7"],
+    ["semigroup", "--word", "2,1"],
+    ["enumerate", "--depth", "3", "--length", "4"],
+    ["lba", "--depth", "3", "--word", "1,2,3"],
+    ["witness", "--kunz", "3", "2"],
+    ["nerode", "--depth", "3", "--max", "3"],
+    ["pumping", "--depth", "5", "--p", "1", "--kmax", "4"],
+], ids=lambda argv: "-".join(argv[:2]))
+def test_each_subcommand_imports_only_what_it_needs(argv):
+    env = dict(os.environ, PYTHONPATH=str(Path(kunzlab.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", _MODULE_PROBE, *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stderr.splitlines()[-1].split())
+    assert "kunzlab.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect"}
+    assert ("kunzlab.lba" in loaded) == (argv[0] == "lba")
+    if argv[0] in ("validate", "semigroup", "witness"):
+        assert "kunzlab.languages" not in loaded
+    if argv[0] == "--help":
+        computational = {f"kunzlab.{name}" for name in
+                         ("words", "semigroups", "languages", "lba")}
+        assert not loaded & computational
+
+
+def test_lba_default_budget_is_the_library_default(capsys):
+    """Without --max-steps the run trips at lba.DEFAULT_STEP_BUDGET, as
+    with that budget given explicitly: the flag keeps no copy of it."""
+    word = str(kunzlab.witness_kunz(3, 79))  # 1,043,037 steps
+    code, out, err = run_cli(capsys, "lba", "--depth", "3", "--word", word)
+    assert (code, out) == (3, "")
+    assert f" passed {kunzlab.lba.DEFAULT_STEP_BUDGET} steps " in err
+    explicit = run_cli(capsys, "lba", "--depth", "3", "--word", word,
+                       "--max-steps", str(kunzlab.lba.DEFAULT_STEP_BUDGET))
+    assert explicit == (code, out, err)
+
+
+def test_enumerate_default_ceiling_is_the_library_default(capsys):
+    """Without --max-candidates the census refuses at
+    languages.DEFAULT_CANDIDATE_CEILING, as with that ceiling given
+    explicitly: the flag keeps no copy of it."""
+    from kunzlab.languages import DEFAULT_CANDIDATE_CEILING
+
+    argv = ["enumerate", "--depth", "3", "--length", "15"]  # 3^15 > 10^7
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == (f"error: {3**15} candidate words exceed the ceiling "
+                   f"{DEFAULT_CANDIDATE_CEILING}\n")
+    explicit = run_cli(capsys, *argv, "--max-candidates",
+                       str(DEFAULT_CANDIDATE_CEILING))
+    assert explicit == (code, out, err)

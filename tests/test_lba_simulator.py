@@ -183,6 +183,33 @@ def test_trace_entries_and_format():
     assert first[4] == "[__]"  # scratch track blank
 
 
+def _replayed_trace(machine, word, limit):
+    """(step, head, state name, tracks) before each of the first ``limit``
+    steps, single-stepping the table and drawing each track cell by cell:
+    an end marker shows itself on every track."""
+    tape = [0] + [machine.letter_cell[letter] for letter in word] + [1]
+    pos, state = 1, machine.start_id
+    for step in range(limit):
+        cells = [machine.cells[c] for c in tape]
+        tracks = tuple("".join(cell[0] if len(cell) == 1 else cell[track]
+                               for cell in cells)
+                       for track in range(machine.track_count))
+        yield step, pos, machine.state_names[state], tracks
+        tape[pos], move, state = machine.resolve(state, tape[pos])
+        pos += move
+        if state < 0:
+            return
+
+
+def test_trace_tracks_match_a_cell_by_cell_drawing(k3_machine, k4_machine):
+    for machine, word in ((k3_machine, Word((1, 1, 2, 3))),
+                          (k4_machine, Word((2, 1, 4, 3))),
+                          (k3_machine, Word((3,) + (1,) * 25))):
+        result = run(machine, word, want_trace=True)
+        got = [(e.step, e.head, e.macro, e.tracks) for e in result.trace]
+        assert got == list(_replayed_trace(machine, word, len(result.trace)))
+
+
 def test_untraced_run_has_no_trace():
     result = run(contains_two_machine(), Word((2,)))
     assert result.trace is None
