@@ -40,6 +40,15 @@ track 4) whose length is i+j-l, putting the shifted target i+j-(l+1)
 one cell left of the last overflow mark; the pair is vacuous when that
 prefix has length 1.
 
+Its phase 1 also decides the regular core of K_n, the words over
+{ceil(n/2)..n}: there u_i + u_j >= n bounds every letter, so neither
+condition can fail and such a word is in K_n iff it holds n.  The rewind
+after the length sweep runs as step1.core while it reads core letters
+and accepts at the origin, so a core word takes 2l+1 steps, not the
+Theta(l^3) scan; the first smaller letter hands the walk to
+step1.rewind with the move that state would make, so every other word
+runs exactly as without step1.core.
+
 The finite control keeps only what its rules read, so no two of its
 states are equivalent.  Phases 3-4 run in one family per x letter a,
 tagged [a], except that the letters n-1 and n share the family [n-1]:
@@ -154,8 +163,11 @@ def build_k3_machine() -> CompiledMachine:
 def build_kn_machine(n: int) -> CompiledMachine:
     """Five-track acceptor for the depth-n language, n >= 3.
 
-    Runs the full pairwise membership scan, so unlike the depth-3
-    special case it checks the shifted second condition too.  For n < 3
+    Phase 1 decides a word over {ceil(n/2)..n} in 2l+1 steps (l+1 to
+    reject one without n).  Any other word gets the full pairwise
+    membership scan, so unlike the depth-3 special case it checks the
+    shifted second condition too.  K_4, K_5, K_6 and K_24 have 105, 151,
+    205 and 2,545 states.  For n < 3
     the languages are regular; use the finite accepters instead.  Depths
     above MAX_MACHINE_DEPTH raise ResourceBound before anything is built.
     """
@@ -181,7 +193,10 @@ def build_kn_machine(n: int) -> CompiledMachine:
         bound_factor=2 * n,
         start="step1.mark",
     )
-    _emit_length_sweep(b, letters, then="step2.cross")
+    # a word over the letters >= ceil(n/2) has every pair sum >= n, so
+    # no check can fail: it is in K_n iff it holds n
+    _emit_length_sweep(b, letters, then="step2.cross",
+                       core=letters[(n + 1) // 2 - 1:])
 
     # 2: cross the next position, whatever its letter, remembering it
     b.add("step2.cross", marker="]", goto=ACCEPT)
@@ -283,8 +298,12 @@ def _emit_pair_states(b, a, s, n, letters) -> None:
 # ``letters`` is "1".."n" in order, so letters[:limit] are those <= limit.
 
 
-def _emit_length_sweep(b, letters, then) -> None:
-    """Phase 1: reject unless the top letter occurs; lay the length on track 5."""
+def _emit_length_sweep(b, letters, then, core=()) -> None:
+    """Phase 1: reject unless the top letter occurs; lay the length on track 5.
+
+    With ``core``, the letters whose pair sums reach the top letter, the
+    rewind first walks step1.core, which accepts a word of core letters
+    only; on the first other letter it moves on as step1.rewind would."""
     top, small = letters[-1], letters[:-1]
     b.add("step1.mark", marker="]", goto=REJECT)
     b.add("step1.mark", when={T1: top}, write={T5: ORIGIN}, move=RIGHT,
@@ -296,8 +315,14 @@ def _emit_length_sweep(b, letters, then) -> None:
           goto="step1.scan_seen")
     b.add("step1.scan_need", when={T1: small}, write={T5: "1"}, move=RIGHT,
           goto="step1.scan_need")
-    b.add("step1.scan_seen", marker="]", move=LEFT, goto="step1.rewind")
+    b.add("step1.scan_seen", marker="]", move=LEFT,
+          goto="step1.core" if core else "step1.rewind")
     b.add("step1.scan_seen", write={T5: "1"}, move=RIGHT, goto="step1.scan_seen")
+    if core:
+        b.add("step1.core", when={T5: ORIGIN, T1: core}, goto=ACCEPT)
+        b.add("step1.core", when={T5: ORIGIN}, goto=then)
+        b.add("step1.core", when={T1: core}, move=LEFT, goto="step1.core")
+        b.add("step1.core", move=LEFT, goto="step1.rewind")
     _emit_rewind(b, "step1.rewind", then=then)
 
 

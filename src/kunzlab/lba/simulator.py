@@ -375,7 +375,9 @@ def run(
     singly, and the rest sweep as without a trace.  Raises
     StepBudgetExceeded if no verdict is reached within ``max_steps`` (steps
     grow as Theta(l^3): K_3 needs 1,043,037 for witness_kunz(3, 79), of
-    length 159, so long words pass the default 10^6 without any bug),
+    length 159, so long words pass the default 10^6 without any bug; the
+    exception is a word over {ceil(n/2)..n}, which build_kn_machine(n)
+    decides in phase 1, in 2l+1 steps),
     DomainError for max_steps < 1 and LetterOutOfAlphabet off the alphabet.
     """
     if max_steps < 1:

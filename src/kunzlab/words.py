@@ -17,7 +17,7 @@ from_apery's validator share one check, semigroups._letters_in_bounds.
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from ._frozen import Value
 from .errors import DomainError, NotKunz, ResourceBound, _shown
@@ -35,11 +35,14 @@ MAX_WITNESS_LENGTH = 4096
 
 
 class Word(Value):
-    """Finite sequence of positive integers; may be empty."""
+    """Finite sequence of positive integers; may be empty.  The letters
+    are stored as a tuple, copied from any other iterable."""
 
     __slots__ = ("letters",)
 
-    def __init__(self, letters: tuple[int, ...] = ()):
+    def __init__(self, letters: Iterable[int] = ()):
+        if type(letters) is not tuple:
+            letters = tuple(letters)
         for u in letters:
             if not isinstance(u, int) or u < 1:
                 raise DomainError(f"letters must be positive integers, got {u!r}")

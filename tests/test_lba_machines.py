@@ -245,9 +245,9 @@ def _equivalence_classes(machine, table):
         (build_k3_machine,
          "7b89a9a19461f6b69d988505abe99f71472b9a4aba4ecc3d2c502b0443756046"),
         (lambda: build_kn_machine.__wrapped__(4),
-         "3e688fa88d2186af733a619850961b632b27cd0a154d1963604c81230e381f52"),
+         "96c086e0422770fd424080ffa5533360765edfdc3bfcdb50d528636c6de33e9f"),
         (lambda: build_kn_machine.__wrapped__(5),
-         "844ed41304921f38e2fac9bc90b1cf835ff2ba5556d2d537f57453794d2d35bd"),
+         "df5fca30507458fdad8fb9f39fcfccd919bc9598ca4a4cbccd60f6370a3a25d1"),
     ],
     ids=["k3", "k4", "k5"],
 )
@@ -297,22 +297,27 @@ def test_run_resolves_only_the_entries_it_reads():
         (4, witness_nonkunz(4, 10, 3), 9_189, "reject"),
         (6, witness_kunz(6, 24), 2_207_405, "accept"),
         (6, witness_nonkunz(6, 8, 1), 7_743, "reject"),
-        (6, Word((3,) * 40 + (6,)), 96_885, "accept"),
+        (6, Word((3,) * 40 + (6,)), 83, "accept"),
+        (6, Word((6,) + (3,) * 40 + (2,)), 103_714, "accept"),
     ],
-    ids=["k4-kunz", "k4-nonkunz", "k6-kunz", "k6-nonkunz", "k6-threes"],
+    ids=["k4-kunz", "k4-nonkunz", "k6-kunz", "k6-nonkunz", "k6-threes",
+         "k6-threes-and-a-two"],
 )
 def test_kn_step_counts_are_pinned(depth, word, steps, verdict):
     """Runs over live and vacuous pairs, overflowing sums and both
-    verdicts: a change to any transition they take moves the count."""
+    verdicts: a change to any transition they take moves the count.
+    The threes take phase 1's core path, 2l+1 steps; the final 2 sends
+    the same threes through every (vacuous) pair."""
     result = run(build_kn_machine(depth), word, max_steps=10**7)
     assert (result.steps, result.verdict) == (steps, verdict)
 
 
-@pytest.mark.parametrize("depth,most", [(4, 104), (5, 150), (6, 204)])
+@pytest.mark.parametrize("depth,most", [(4, 105), (5, 151), (6, 205)])
 def test_kn_state_count(depth, most):
     """One pair family per x family and checked bound, one crossing, one
     walk back and one overflow tail per checked bound for each x family,
-    one shared family for the x letters n-1 and n, and one phase 7."""
+    one shared family for the x letters n-1 and n, one phase 7, and
+    step1.core, the rewind that accepts a word over {ceil(n/2)..n}."""
     assert len(build_kn_machine(depth).state_names) <= most
 
 
@@ -434,3 +439,54 @@ def test_sweep_sets_hold_only_resolved_passes(depth, build):
         assert move in (-1, 1)
         assert sweep <= machine.table[state].keys()
         assert not sweep & {0, 1}
+
+
+# ---------------------------------------------------------------------------
+# The core: over the letters >= ceil(n/2) every pair sum reaches n, so
+# no pair check can fail and K_n's phase 1 decides such a word alone:
+# a sweep right, then step1.core's sweep back to accept (2l+1 steps), or
+# the reject at the right marker when n is missing (l+1 steps).
+
+CORE_DEPTHS = [3, 4, 5, 6]
+
+
+def _assert_core_run(machine, depth, word):
+    result = _assert_same_as_single_steps(machine, word)
+    assert result.accepted == in_kunz_language(word, depth)
+    assert result.accepted == (depth in word.letters)
+    length = len(word)
+    assert result.steps == (2 * length + 1 if result.accepted else length + 1)
+    assert result.cells_used == 5 * (length + 1)
+
+
+@pytest.mark.parametrize("depth", CORE_DEPTHS)
+def test_core_words_up_to_length_six(depth):
+    """Every word over {ceil(n/2)..n} of length at most 6."""
+    machine = build_kn_machine(depth)
+    core = range((depth + 1) // 2, depth + 1)
+    for length in range(0, 7):
+        for letters in itertools.product(core, repeat=length):
+            _assert_core_run(machine, depth, Word(letters))
+
+
+@pytest.mark.parametrize("depth", CORE_DEPTHS)
+def test_seeded_core_words_up_to_length_500(depth):
+    """Fifty random core words per depth; every fifth leaves out n."""
+    import random
+
+    rng = random.Random(1500 + depth)
+    machine = build_kn_machine(depth)
+    low = (depth + 1) // 2
+    for index in range(50):
+        top = depth - 1 if index % 5 == 0 else depth
+        length = rng.randint(1, 500)
+        word = Word(tuple(rng.randint(low, top) for _ in range(length)))
+        _assert_core_run(machine, depth, word)
+
+
+def test_long_core_word_fits_the_default_budget():
+    """Without step1.core this word needs about 10^9 steps."""
+    word = Word((3, 4, 5, 6) * 250)
+    result = run(build_kn_machine(6), word)
+    assert (result.verdict, result.steps) == (ACCEPT, 2_001)
+    assert result.cells_used == 5 * 1_001

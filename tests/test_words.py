@@ -38,6 +38,31 @@ def test_word_validation():
         Word.parse("1,x,2")
 
 
+@pytest.mark.parametrize(
+    "letters",
+    [(1, 2, 3), [1, 2, 3], (u for u in (1, 2, 3)), range(1, 4)],
+    ids=["tuple", "list", "generator", "range"],
+)
+def test_word_stores_a_tuple(letters):
+    """Any iterable of letters builds the same value as its tuple."""
+    import pickle
+
+    word = Word(letters)
+    assert word.letters == (1, 2, 3) and type(word.letters) is tuple
+    assert word == Word((1, 2, 3))
+    assert hash(word) == hash(Word((1, 2, 3)))
+    assert word + Word((3,)) == Word((1, 2, 3, 3))
+    assert Word([3]) + word == Word((3, 1, 2, 3))
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(word, protocol)) == word
+    assert is_kunz(word)
+
+
+def test_word_keeps_a_given_tuple():
+    letters = (1, 2, 3)
+    assert Word(letters).letters is letters
+
+
 def test_is_kunz_empty_and_singletons():
     assert is_kunz(Word(()))
     for k in range(1, 7):
