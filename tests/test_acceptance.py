@@ -200,14 +200,28 @@ def test_criterion_10_census_cross_oracle(census):
            f"enumerators; count(depth 3, length 2) = {count_kunz(3, 2)}")
 
 
-def test_criterion_10_census_cross_oracle_to_m10():
-    wide = enumerate_semigroups(10, 4)
+def wide_cross_oracle(max_m):
+    """(semigroups listed, mismatched cells) for the gap-set census of
+    multiplicity <= max_m and depth <= 4 against count_kunz, cell by cell."""
+    wide = enumerate_semigroups(max_m, 4)
     by_cell = Counter((s.multiplicity, s.depth) for s in wide)
     failures = [
         (m, q, by_cell.get((m, q), 0), count_kunz(q, m - 1))
-        for m in range(1, 11) for q in range(1, 5)
+        for m in range(1, max_m + 1) for q in range(1, 5)
         if by_cell.get((m, q), 0) != count_kunz(q, m - 1)
     ]
+    return len(wide), failures
+
+
+def test_criterion_10_census_cross_oracle_to_m10():
+    found, failures = wide_cross_oracle(10)
     report(10, "census cross-oracle, m <= 10", not failures,
-           f"40 (multiplicity, depth) cells over {len(wide)} semigroups "
+           f"40 (multiplicity, depth) cells over {found} semigroups "
+           f"agree across the two enumerators; mismatches {failures}")
+
+
+def test_criterion_10_census_cross_oracle_to_m12():
+    found, failures = wide_cross_oracle(12)
+    report(10, "census cross-oracle, m <= 12", found == 848_825 and not failures,
+           f"48 (multiplicity, depth) cells over {found} semigroups "
            f"agree across the two enumerators; mismatches {failures}")

@@ -21,6 +21,7 @@ from conftest import (
     naive_conductor,
     naive_frobenius_and_genus,
     naive_members,
+    naive_semigroups,
 )
 
 
@@ -298,6 +299,36 @@ def test_enumerate_resource_bound():
         enumerate_semigroups(0, 1)
     with pytest.raises(DomainError, match="max_depth"):
         enumerate_semigroups(2, -1)
+
+
+@pytest.mark.parametrize("cell, nodes", [((7, 4), 11_599), ((10, 4), 431_694)])
+def test_enumerate_node_count_is_pinned(cell, nodes):
+    # the ceiling trips exactly where the whole search tree stops fitting
+    assert len(enumerate_semigroups(*cell, search_ceiling=nodes)) > 1
+    with pytest.raises(ResourceBound, match=f"gap-set search exceeded {nodes - 1} nodes"):
+        enumerate_semigroups(*cell, search_ceiling=nodes - 1)
+
+
+def test_enumerate_refuses_a_square_output_up_front():
+    # depth 1 costs one node per multiplicity but lists an m-tuple for each
+    assert len(enumerate_semigroups(10, 1, search_ceiling=100)) == 10
+    with pytest.raises(ResourceBound, match="multiplicity 11 squared is over the ceiling 100$"):
+        enumerate_semigroups(11, 1, search_ceiling=100)
+    with pytest.raises(ResourceBound, match="multiplicity 4000 squared"):
+        enumerate_semigroups(4000, 1)
+    with pytest.raises(ResourceBound, match="multiplicity 2\\^64 or more squared"):
+        enumerate_semigroups(10**100, 1)
+    # depth 0 lists N alone, whatever the multiplicity
+    assert enumerate_semigroups(10**9, 0) == [NATURALS]
+
+
+@pytest.mark.parametrize("cell", [(6, 4), (8, 3), (10, 2)] + [(5, d) for d in range(6)])
+def test_enumerate_matches_the_naive_gap_set_census(cell):
+    max_m, max_depth = cell
+    naive = naive_semigroups(max_m, max_depth)
+    for m in range(1, max_m + 1):
+        listed = [s.apery.values for s in enumerate_semigroups(m, max_depth)]
+        assert listed == [w for w in naive if len(w) <= m]
 
 
 def test_census_invariants():
