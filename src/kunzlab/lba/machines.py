@@ -1,6 +1,7 @@
 """The tape-bounded acceptors for the depth-q word languages.
 
-Both machines run five tracks over the input width plus end markers:
+The depth-3 machine build_k3_machine() follows the paper's construction
+on five tracks over the input width plus end markers:
 
     track 1  input letters, crossed in place as they are processed
     track 2  index i of the current primary position, in unary
@@ -12,11 +13,11 @@ Both machines run five tracks over the input width plus end markers:
 Tracks 2-5 hold unary values as mark prefixes anchored at the first
 input cell, so the value k reads as "the rightmost mark sits on cell k".
 
-The depth-3 machine only has to chase one failure shape: two letters 1
-at positions i and j with a 3 at position i+j (any other letter pair
-already sums past every letter of the alphabet, and the shifted second
-condition can never bite below letter 4).  Its control flow follows
-seven numbered phases, visible in the state names and the run traces:
+It only has to chase one failure shape: two letters 1 at positions i
+and j with a 3 at position i+j (any other letter pair already sums past
+every letter of the alphabet, and the shifted second condition can
+never bite below letter 4).  Its control flow follows seven numbered
+phases, visible in the state names and the run traces:
 
     1  sweep right checking a 3 occurs, recording the length on track 5
     2  cross the next unchecked 1 as x, recording its index on tracks 2-3
@@ -31,44 +32,52 @@ When a sum runs off the tape the pair constrains nothing; the machine
 notices by bumping into the right marker while appending (the fused
 comparison against the track-5 length) and abandons the pair.
 
-The general machine build_kn_machine(n) runs the full membership scan
-for any alphabet {1..n}: every position is crossed in turn, every pair
-(i, j) with i <= j is checked, and marks are tagged with the letter they
-cover (x2, y4, ...) so a probed cell still reveals its letter.  Sums
-beyond the tape are re-anchored as an overflow prefix ('o' marks on
-track 4) whose length is i+j-l, putting the shifted target i+j-(l+1)
-one cell left of the last overflow mark; the pair is vacuous when that
-prefix has length 1.
-
-Its phase 1 also decides the regular core of K_n, the words over
-{ceil(n/2)..n}: there u_i + u_j >= n bounds every letter, so neither
-condition can fail and such a word is in K_n iff it holds n.  The rewind
-after the length sweep runs as step1.core while it reads core letters
-and accepts at the origin, so a core word takes 2l+1 steps, not the
-Theta(l^3) scan; the first smaller letter hands the walk to
-step1.rewind with the move that state would make, so every other word
-runs exactly as without step1.core.
-
-The finite control keeps only what its rules read, so no two of its
-states are equivalent.  Phases 3-4 run in one family per x letter a,
-tagged [a], except that the letters n-1 and n share the family [n-1]:
-every check they make is vacuous.  A pair's sum and probe run in one
-family per x family a and bound s = min(a+v, n), tagged [a,s], where v
-is the y letter: the probe rejects a letter over s, so every pair with
-a+v >= n (no letter exceeds n) shares the family [a,n].  A sum that
-overruns the tape checks one over s instead, so its overflow tail is
-tagged [a,o] with o = min(s+1, n): the pairs [a,n-1] and [a,n] share the
-tail [a,n], whose check is vacuous.  The walk back to the y
-(step5.ff[a], step6.back[a]) and the crossing of the next partner
-(step4.cross[a]) check nothing, so every pair of the family shares
-them.  Phase 7 checks nothing and runs once for every x.
-
 Phase 7's cleanup is implemented as: walk left to the rightmost x
 restoring ys and blanking tracks 3-4, then keep walking to the origin
 turning the consumed marks of track 3 back into plain ones, so tracks 2
 and 3 both spell the index of x again.  That reading of the cleanup is a
 choice; the bookkeeping invariant it maintains is checked by the tests
-through trace snapshots.
+through trace snapshots.  Pairs are walked to in unary, so the steps
+grow as Theta(l^3).
+
+The general machine build_kn_machine(n) decides K_n for any n >= 3, both
+conditions included, on three tracks:
+
+    track 1  the input letters u_1 .. u_l, never written
+    track 2  B, a rotated copy of the cyclic word c = (0, u_1, ..., u_l)
+    track 3  the origin mark '#' on the first cell
+
+Round i (1 <= i <= l) holds B = c rotated left by i: the control holds
+B[0] = u_i and cell j holds B[j] = c_{(i+j) mod (l+1)}, so the sentinel
+0 sits on cell l+1-i.  Left of it cell j holds u_{i+j}, the target of
+the first condition for the pair (i, j); right of it u_{i+j-(l+1)}, the
+target of the shifted second one.  With u_j beside it on track 1, one
+pass checks index i against every j.  Each round is a rotation, then a
+check:
+
+    1  step1.*: sweep right marking the origin and copying track 1 onto
+       track 2 (B = c), noting whether n and a letter below ceil(n/2)
+       occur; at the right marker reject without n, accept without a
+       small letter, and else start the first rotation
+    3  step3.rotate[c]: sweep left carrying one symbol c, writing it and
+       picking up the cell's, so B turns one more place; the symbol
+       picked up at the origin is the new B[0], and the sentinel there
+       means every index has been checked: accept
+    2  step2.check[u,w]: sweep right writing nothing and reject where
+       B[j] > u + u_j + w, with the flag w turning 1 on the sentinel; at
+       the right marker rotate again, carrying u
+
+A word over {ceil(n/2)..n} has every pair sum u_i + u_j >= n, so no
+condition can fail and it is in K_n iff it holds n: phase 1 decides
+this regular core alone, in l+1 steps.  Any other word takes l+1 steps
+in phase 1, 2l+1 per round and l in the last rotation, (2l+1)(l+1) in
+all when it is accepted.  Every run uses 3(l+1) cells.
+
+The control keeps only what its rules read, so no two of its states are
+equivalent: a check state is keyed by the check it makes, and for
+u + 1 >= n, where nothing can fail, step2.check[u] has no flag.  That
+makes 5 phase-1 states, n+1 rotations and 2n-2 checks, 3n+4 states in
+all; the rotations read and write every symbol, so rules grow as n^2.
 """
 
 from __future__ import annotations
@@ -89,9 +98,9 @@ from .simulator import (
 T1, T2, T3, T4, T5 = range(5)
 ORIGIN = "#"
 
-# Largest depth build_kn_machine accepts.  Its states and rules grow as
-# n^2: on a 2-CPU VM with Python 3.11, depth 24 builds in about 0.03 s at
-# 21 MB peak RSS and depth 32 in 0.05 s at 26 MB.
+# Largest depth build_kn_machine accepts.  Its states grow as n and its
+# rules as n^2: on a 2-CPU VM with Python 3.11, depth 24 (76 states,
+# 1,973 rules) builds in about 0.015 s at 16 MB peak RSS.
 MAX_MACHINE_DEPTH = 24
 
 
@@ -124,12 +133,12 @@ def build_k3_machine() -> CompiledMachine:
 
     # 3: sum i+i on track 4 and probe cell 2i for a 3 (over 1+1, the
     # limit for every pair here, since x and y only ever cover 1s)
-    _emit_double(b, "", on_overflow="step3.sweep")
-    _emit_probe(b, "step3.check", letters, limit=2, then="step3.back")
-    _emit_back(b, "step3.back", letters, home="x", then="step4.scan")
+    _emit_double(b, on_overflow="step3.sweep")
+    _emit_probe(b, "step3.check", then="step3.back")
+    _emit_back(b, "step3.back", home="x", then="step4.scan")
     # 2i ran off the tape: mark the leftovers consumed and move to phase 4
     _emit_spend_rest(b, "step3.sweep", then="step4.seek")
-    _emit_back_to_x(b, "step4.seek", "step4.atx", "x", then="step4.scan")
+    _emit_back_to_x(b, "step4.seek", "step4.atx", then="step4.scan")
 
     # 4 / 7: mark the next 1 as y, extending track 3 to its index; past
     # the last 1, phase 4 accepts and phase 7 restores and advances the x
@@ -150,26 +159,25 @@ def build_k3_machine() -> CompiledMachine:
     b.add("step5.aty", when={T1: "y"}, move=RIGHT, goto="step7.scan")
 
     # 6: probe cell i+j for a 3, then return to the newest y
-    _emit_probe(b, "step6.check", letters, limit=2, then="step6.back")
-    _emit_back(b, "step6.back", letters, home="y", then="step7.scan")
+    _emit_probe(b, "step6.check", then="step6.back")
+    _emit_back(b, "step6.back", home="y", then="step7.scan")
 
     # 7: restore and advance the x; 2s and 3s pass unchanged
-    _emit_restore(b, "", {"y": "1", "2": "2", "3": "3"}, "x", then="step2.scan")
+    _emit_restore(b, {"y": "1", "2": "2", "3": "3"}, then="step2.scan")
 
     return b.compile()
 
 
 @lru_cache(maxsize=None)
 def build_kn_machine(n: int) -> CompiledMachine:
-    """Five-track acceptor for the depth-n language, n >= 3.
+    """Three-track rotation acceptor for the depth-n language, n >= 3.
 
-    Phase 1 decides a word over {ceil(n/2)..n} in 2l+1 steps (l+1 to
-    reject one without n).  Any other word gets the full pairwise
-    membership scan, so unlike the depth-3 special case it checks the
-    shifted second condition too.  K_4, K_5, K_6 and K_24 have 105, 151,
-    205 and 2,545 states.  For n < 3
-    the languages are regular; use the finite accepters instead.  Depths
-    above MAX_MACHINE_DEPTH raise ResourceBound before anything is built.
+    A word over {ceil(n/2)..n} is decided in l+1 steps; any other word
+    that is accepted takes exactly (2l+1)(l+1), and every run uses
+    3(l+1) cells.  K_4, K_5, K_6 and K_24 have 16, 19, 22 and 76 states
+    (3n+4).  For n < 3 the languages are regular; use the finite
+    accepters instead.  Depths above MAX_MACHINE_DEPTH raise
+    ResourceBound before anything is built.
     """
     if n < 3:
         raise DomainError("depths 0..2 are regular; build_kn_machine needs n >= 3")
@@ -178,132 +186,71 @@ def build_kn_machine(n: int) -> CompiledMachine:
             f"depth {_shown(n)} is over the machine ceiling {MAX_MACHINE_DEPTH}"
         )
     letters = tuple(str(v) for v in range(1, n + 1))
-    xmarks = tuple("x" + s for s in letters)
-    ymarks = tuple("y" + s for s in letters)
+    symbols = ("0",) + letters  # B's symbols; "0" is the sentinel
+    word, rotated, origin = T1, T2, T3  # the input, B, the origin mark
     b = MachineBuilder(
         f"k{n}",
-        track_symbols=[
-            letters + xmarks + ymarks,
-            (BLANK, "1"),
-            (BLANK, "1", "c"),
-            (BLANK, "1", "o"),
-            (BLANK, ORIGIN, "1"),
-        ],
+        track_symbols=[letters, (BLANK,) + symbols, (BLANK, ORIGIN)],
         input_alphabet=range(1, n + 1),
-        bound_factor=2 * n,
+        bound_factor=4,  # 3(l+1) cells <= 4 max(l, 10)
         start="step1.mark",
     )
-    # a word over the letters >= ceil(n/2) has every pair sum >= n, so
-    # no check can fail: it is in K_n iff it holds n
-    _emit_length_sweep(b, letters, then="step2.cross",
-                       core=letters[(n + 1) // 2 - 1:])
 
-    # 2: cross the next position, whatever its letter, remembering it
-    b.add("step2.cross", marker="]", goto=ACCEPT)
-    for a, sym in enumerate(letters, start=1):
-        sa = f"[{min(a, n - 1)}]"
-        b.add("step2.cross", when={T1: sym, T5: ORIGIN},
-              write={T1: "x" + sym, T2: "1", T3: "1"}, goto=f"step3.copy{sa}")
-        b.add("step2.cross", when={T1: sym},
-              write={T1: "x" + sym, T2: "1", T3: "1"}, move=LEFT,
-              goto=f"step3.rewind{sa}")
+    # 1: copy the word onto B, noting whether n and a small letter
+    # (below ceil(n/2)) occur; the start state also marks the origin
+    scans = {(seen, small): f"step1.{'seen' if seen else 'need'}"
+                            f"[{'small' if small else 'core'}]"
+             for seen in (False, True) for small in (False, True)}
+    for (seen, small), state in [((False, False), "step1.mark"), *scans.items()]:
+        if not seen:
+            b.add(state, marker="]", goto=REJECT)
+        elif small:
+            b.add(state, marker="]", move=LEFT, goto="step3.rotate[0]")
+        else:
+            b.add(state, marker="]", goto=ACCEPT)
+        mark = {origin: ORIGIN} if state == "step1.mark" else {}
+        for v, sym in enumerate(letters, start=1):
+            b.add(state, when={word: sym}, write={rotated: sym, **mark},
+                  move=RIGHT, goto=scans[seen or v == n,
+                                         small or 2 * v < n])
 
-    # x letters n-1 and n check nothing (2a >= n and a+v >= n), so they
-    # share the last primary family
-    for a in range(1, n):
-        x = xmarks[a - 1:] if a == n - 1 else xmarks[a - 1]
-        _emit_primary_states(b, a, n, letters, x, ymarks)
-        for s in range(a + 1, n + 1):
-            _emit_pair_states(b, a, s, n, letters)
-    # 7: walking left, the first x past the ys is the current one, and
-    # track 2 marks it too, so the cleanup matches any x mark
-    _emit_restore(b, "", dict(zip(ymarks, letters)), xmarks, then="step2.cross")
+    # 2: check index u against every cell, writing nothing; w turns 1 on
+    # the sentinel.  With u + 1 >= n no letter can exceed u + u_j + w.
+    def check(u, w):
+        return f"step2.check[{u}]" if u + 1 >= n else f"step2.check[{u},{w}]"
+
+    for u in range(1, n + 1):
+        for w in ((0, 1) if u + 1 < n else (0,)):
+            state = check(u, w)
+            b.add(state, marker="]", move=LEFT, goto=f"step3.rotate[{u}]")
+            if u + 1 < n and not w:
+                b.add(state, when={rotated: "0"}, move=RIGHT, goto=check(u, 1))
+            for a in range(1, n - u - w):
+                b.add(state, when={word: letters[a - 1],
+                                   rotated: letters[u + a + w:]}, goto=REJECT)
+            b.add(state, move=RIGHT, goto=state)
+
+    # 3: turn B one place, carrying the symbol picked up; at the origin
+    # that symbol is the next index's letter, or the sentinel once every
+    # index has been checked
+    for c in symbols:
+        state = f"step3.rotate[{c}]"
+        b.add(state, when={origin: ORIGIN, rotated: "0"}, goto=ACCEPT)
+        for u, sym in enumerate(letters, start=1):
+            b.add(state, when={origin: ORIGIN, rotated: sym},
+                  write={rotated: c}, goto=check(u, 0))
+        for d in symbols:
+            b.add(state, when={rotated: d}, write={rotated: c}, move=LEFT,
+                  goto=f"step3.rotate[{d}]")
 
     return b.compile()
 
 
-def _emit_primary_states(b, a, n, letters, x, ymarks) -> None:
-    """Phase 3 for the x family a, whose x marks are ``x``; its phase 4
-    crossing, where a partner of letter v enters the pair family
-    [a, min(a+v, n)] and the right marker phase 7; and the states every
-    pair of the family shares: the overflow tails [a,o], one per bound
-    o = min(s+1, n) they check, and the walk back to the y."""
-    sa = f"[{a}]"
-    _emit_double(b, sa, on_overflow=f"step3.osweep{sa}")
-    # i+i <= length: first condition at cell 2i (always an unmarked letter)
-    _emit_probe(b, f"step3.check{sa}", letters, limit=a + a,
-                then=f"step3.back{sa}")
-    _emit_back(b, f"step3.back{sa}", letters, home=x, then=f"step4.cross{sa}")
-
-    # i+i overran the tape: re-anchor the leftover units as the overflow
-    # prefix, then check the shifted condition if it has a target
-    _emit_overflow_tail(b, "step3", sa, letters, filled=f"step3.off{sa}",
-                        limit=a + a + 1, then=f"step3.oseek{sa}")
-    b.add(f"step3.off{sa}", when={T3: {"1", "c"}}, move=RIGHT,
-          goto=f"step3.off{sa}")
-    b.add(f"step3.off{sa}", when={T3: BLANK}, move=LEFT, goto=f"step3.otake{sa}")
-    b.add(f"step3.off{sa}", marker="]", move=LEFT, goto=f"step3.otake{sa}")
-    b.add(f"step3.otake{sa}", when={T3: "1"}, write={T3: "c"},
-          goto=f"step3.osweep{sa}")
-    b.add(f"step3.otake{sa}", when={T5: ORIGIN, T3: "c"}, goto=f"step3.oprobe{sa}")
-    b.add(f"step3.otake{sa}", when={T3: "c"}, move=LEFT, goto=f"step3.otake{sa}")
-    _emit_back_to_x(b, f"step3.oseek{sa}", f"step3.oatx{sa}", x,
-                    then=f"step4.cross{sa}")
-
-    # 4: mark the next position as a partner; past the last, phase 7
-    # restores the partners and advances the x
-    b.add(f"step4.cross{sa}", marker="]", move=LEFT, goto="step7.restore")
-    for v, sym in enumerate(letters, start=1):
-        b.add(f"step4.cross{sa}", when={T1: sym},
-              write={T1: "y" + sym, T3: "1"},
-              goto=f"step5.take[{a},{min(a + v, n)}]")
-
-    # i+j overran: grow the overflow prefix by one and check the shifted
-    # condition, skipping the vacuous i+j = length+1 case; one tail per
-    # bound o = min(s+1, n), so [a,n-1] and [a,n] share the tail [a,n]
-    for o in range(min(a + 2, n), n + 1):
-        sao = f"[{a},{o}]"
-        _emit_overflow_tail(b, "step5", sao, letters,
-                            filled=f"step5.oprobe{sao}", limit=o,
-                            then=f"step5.ff{sa}")
-    # back from the sum to the y, then cross the next partner
-    _emit_forward(b, f"step5.ff{sa}", then=f"step6.back{sa}")
-    _emit_back(b, f"step6.back{sa}", letters, home=ymarks,
-               then=f"step4.cross{sa}")
+# The phase emitters below build the depth-3 machine.
 
 
-def _emit_pair_states(b, a, s, n, letters) -> None:
-    """Phases 5 and 6 for a pair whose letters sum to s (to at least s
-    when s = n, where no check can fail), with the x family a: one more
-    unit onto the sum, then the probe, which returns through the
-    family's step6.back[a]; a sum that overruns enters the family's
-    overflow tail [a, min(s+1, n)]."""
-    sab = f"[{a},{s}]"
-    # 5: one more unit onto the sum; writing it lands on cell i+j
-    b.add(f"step5.take{sab}", when={T3: "1"}, write={T3: "c"}, move=RIGHT,
-          goto=f"step5.put{sab}")
-    b.add(f"step5.put{sab}", when={T4: "1"}, move=RIGHT, goto=f"step5.put{sab}")
-    b.add(f"step5.put{sab}", when={T4: BLANK}, write={T4: "1"},
-          goto=f"step6.check{sab}")
-    b.add(f"step5.put{sab}", marker="]", move=LEFT,
-          goto=f"step5.osweep[{a},{min(s + 1, n)}]")
-    # 6: first condition at cell i+j (always right of the y, unmarked)
-    _emit_probe(b, f"step6.check{sab}", letters, limit=s,
-                then=f"step6.back[{a}]")
-
-
-# The phase emitters below serve both machines; a state-name ``tag`` is
-# "" in the depth-3 machine and in K_n's phase 7, and the family suffix
-# "[a]" or "[a,o]" else.
-# ``letters`` is "1".."n" in order, so letters[:limit] are those <= limit.
-
-
-def _emit_length_sweep(b, letters, then, core=()) -> None:
-    """Phase 1: reject unless the top letter occurs; lay the length on track 5.
-
-    With ``core``, the letters whose pair sums reach the top letter, the
-    rewind first walks step1.core, which accepts a word of core letters
-    only; on the first other letter it moves on as step1.rewind would."""
+def _emit_length_sweep(b, letters, then) -> None:
+    """Phase 1: reject unless the top letter occurs; lay the length on track 5."""
     top, small = letters[-1], letters[:-1]
     b.add("step1.mark", marker="]", goto=REJECT)
     b.add("step1.mark", when={T1: top}, write={T5: ORIGIN}, move=RIGHT,
@@ -315,14 +262,8 @@ def _emit_length_sweep(b, letters, then, core=()) -> None:
           goto="step1.scan_seen")
     b.add("step1.scan_need", when={T1: small}, write={T5: "1"}, move=RIGHT,
           goto="step1.scan_need")
-    b.add("step1.scan_seen", marker="]", move=LEFT,
-          goto="step1.core" if core else "step1.rewind")
+    b.add("step1.scan_seen", marker="]", move=LEFT, goto="step1.rewind")
     b.add("step1.scan_seen", write={T5: "1"}, move=RIGHT, goto="step1.scan_seen")
-    if core:
-        b.add("step1.core", when={T5: ORIGIN, T1: core}, goto=ACCEPT)
-        b.add("step1.core", when={T5: ORIGIN}, goto=then)
-        b.add("step1.core", when={T1: core}, move=LEFT, goto="step1.core")
-        b.add("step1.core", move=LEFT, goto="step1.rewind")
     _emit_rewind(b, "step1.rewind", then=then)
 
 
@@ -358,32 +299,29 @@ def _emit_add(b, name, on_done, on_overflow) -> None:
     b.add(put, marker="]", move=LEFT, goto=on_overflow)
 
 
-def _emit_double(b, tag, on_overflow) -> None:
+def _emit_double(b, on_overflow) -> None:
     """Phase 3's prelude: put i+i on track 4 and park the head on cell 2i."""
-    _emit_rewind(b, f"step3.rewind{tag}", then=f"step3.copy{tag}")
-    b.add(f"step3.copy{tag}", when={T2: "1"}, write={T4: "1"}, move=RIGHT,
-          goto=f"step3.copy{tag}")
-    b.add(f"step3.copy{tag}", when={T2: BLANK}, move=LEFT,
-          goto=f"step3.add{tag}.take")
-    b.add(f"step3.copy{tag}", marker="]", move=LEFT, goto=f"step3.add{tag}.take")
-    _emit_add(b, f"step3.add{tag}", on_done=f"step3.goto{tag}",
-              on_overflow=on_overflow)
-    _emit_goto_last(b, f"step3.goto{tag}", T4, then=f"step3.check{tag}")
+    _emit_rewind(b, "step3.rewind", then="step3.copy")
+    b.add("step3.copy", when={T2: "1"}, write={T4: "1"}, move=RIGHT,
+          goto="step3.copy")
+    b.add("step3.copy", when={T2: BLANK}, move=LEFT, goto="step3.add.take")
+    b.add("step3.copy", marker="]", move=LEFT, goto="step3.add.take")
+    _emit_add(b, "step3.add", on_done="step3.goto", on_overflow=on_overflow)
+    _emit_goto_last(b, "step3.goto", T4, then="step3.check")
 
 
-def _emit_probe(b, check, letters, *, limit, then) -> None:
-    """First condition at the probed, unmarked cell: reject a letter over
-    ``limit``, else step left and go to ``then``."""
-    b.add(check, when={T1: letters[:limit]}, move=LEFT, goto=then)
-    if limit < len(letters):
-        b.add(check, when={T1: letters[limit:]}, goto=REJECT)
+def _emit_probe(b, check, then) -> None:
+    """First condition at the probed, unmarked cell: reject a 3, else step
+    left and go to ``then``."""
+    b.add(check, when={T1: ("1", "2")}, move=LEFT, goto=then)
+    b.add(check, when={T1: "3"}, goto=REJECT)
 
 
-def _emit_back(b, back, letters, *, home, then) -> None:
+def _emit_back(b, back, *, home, then) -> None:
     """Walk left over unmarked letters to the ``home`` mark and go to
     ``then`` right of it."""
     b.add(back, when={T1: home}, move=RIGHT, goto=then)
-    b.add(back, when={T1: letters}, move=LEFT, goto=back)
+    b.add(back, when={T1: ("1", "2", "3")}, move=LEFT, goto=back)
 
 
 def _emit_spend_rest(b, name, then) -> None:
@@ -394,27 +332,6 @@ def _emit_spend_rest(b, name, then) -> None:
     b.add(name, move=LEFT, goto=name)
 
 
-def _emit_overflow_tail(b, phase, tag, letters, *, filled, limit, then) -> None:
-    """Grow track 4's overflow prefix by one 'o' (on to ``filled``); from
-    oprobe, check that the cell left of the last 'o', a crossed one, holds
-    at most ``limit``.  A prefix of length 1 has no such cell."""
-    osweep, ofill = f"{phase}.osweep{tag}", f"{phase}.ofill{tag}"
-    oprobe, oback = f"{phase}.oprobe{tag}", f"{phase}.oback{tag}"
-    ocheck = f"{phase}.ocheck{tag}"
-    _emit_rewind(b, osweep, then=ofill)
-    b.add(ofill, when={T4: "o"}, move=RIGHT, goto=ofill)
-    b.add(ofill, when={T4: "1"}, write={T4: "o"}, goto=filled)
-    b.add(oprobe, when={T4: "o"}, move=RIGHT, goto=oprobe)
-    b.add(oprobe, marker="]", move=LEFT, goto=oback)
-    b.add(oprobe, move=LEFT, goto=oback)
-    b.add(oback, when={T5: ORIGIN}, goto=then)
-    b.add(oback, move=LEFT, goto=ocheck)
-    xmarks = ["x" + sym for sym in letters]
-    b.add(ocheck, when={T1: xmarks[:limit]}, goto=then)
-    if limit < len(xmarks):
-        b.add(ocheck, when={T1: xmarks[limit:]}, goto=REJECT)
-
-
 def _emit_forward(b, name, then) -> None:
     """Walk right over the spent units of track 3, stopping on the y."""
     b.add(name, when={T3: "c"}, move=RIGHT, goto=name)
@@ -422,26 +339,25 @@ def _emit_forward(b, name, then) -> None:
     b.add(name, marker="]", move=LEFT, goto=then)
 
 
-def _emit_back_to_x(b, seek, atx, x, then) -> None:
+def _emit_back_to_x(b, seek, atx, then) -> None:
     """Go to the x, whose index track 2 holds, and step right of it."""
     _emit_goto_last(b, seek, T2, then=atx)
-    b.add(atx, when={T1: x}, move=RIGHT, goto=then)
+    b.add(atx, when={T1: "x"}, move=RIGHT, goto=then)
 
 
-def _emit_restore(b, tag, restores, x, then) -> None:
+def _emit_restore(b, restores, then) -> None:
     """Phase 7: walk left to the x turning each mark in ``restores`` back
     into its letter, unspend track 3, then return right of the x."""
-    restore, unspend = f"step7.restore{tag}", f"step7.unspend{tag}"
-    seek = f"step7.seek{tag}"
     for mark, letter in restores.items():
-        b.add(restore, when={T1: mark},
-              write={T1: letter, T3: BLANK, T4: BLANK}, move=LEFT, goto=restore)
-    b.add(restore, when={T1: x, T5: ORIGIN},
-          write={T3: "1", T4: BLANK}, goto=seek)
-    b.add(restore, when={T1: x},
-          write={T3: "1", T4: BLANK}, move=LEFT, goto=unspend)
-    b.add(unspend, when={T3: "c", T5: ORIGIN},
-          write={T3: "1", T4: BLANK}, goto=seek)
-    b.add(unspend, when={T3: "c"},
-          write={T3: "1", T4: BLANK}, move=LEFT, goto=unspend)
-    _emit_back_to_x(b, seek, f"step7.atx{tag}", x, then=then)
+        b.add("step7.restore", when={T1: mark},
+              write={T1: letter, T3: BLANK, T4: BLANK}, move=LEFT,
+              goto="step7.restore")
+    b.add("step7.restore", when={T1: "x", T5: ORIGIN},
+          write={T3: "1", T4: BLANK}, goto="step7.seek")
+    b.add("step7.restore", when={T1: "x"},
+          write={T3: "1", T4: BLANK}, move=LEFT, goto="step7.unspend")
+    b.add("step7.unspend", when={T3: "c", T5: ORIGIN},
+          write={T3: "1", T4: BLANK}, goto="step7.seek")
+    b.add("step7.unspend", when={T3: "c"},
+          write={T3: "1", T4: BLANK}, move=LEFT, goto="step7.unspend")
+    _emit_back_to_x(b, "step7.seek", "step7.atx", then=then)

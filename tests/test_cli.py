@@ -158,6 +158,16 @@ def test_lba_generic_depth(capsys):
     assert code == 2
 
 
+def test_lba_long_depth6_witness_fits_the_default_budget(capsys):
+    """The length-121 block witness 1^24 2^24 ... 5^24 6 takes
+    (2l+1)(l+1) steps on three tracks over l+1 cells."""
+    word = ",".join([str(v) for v in range(1, 6) for _ in range(24)] + ["6"])
+    code, out, _ = run_cli(capsys, "lba", "--depth", "6", "--word", word)
+    assert code == 0
+    assert json.loads(out) == {"verdict": "accept", "steps": 29_646,
+                               "cells_used": 3 * 122, "bound": 4 * 121}
+
+
 @pytest.mark.parametrize("depth", [kunzlab.lba.MAX_MACHINE_DEPTH + 1, 10**9])
 def test_lba_depth_over_ceiling(capsys, depth):
     code, out, err = run_cli(capsys, "lba", "--depth", str(depth), "--word", "1")

@@ -245,9 +245,9 @@ def _equivalence_classes(machine, table):
         (build_k3_machine,
          "7b89a9a19461f6b69d988505abe99f71472b9a4aba4ecc3d2c502b0443756046"),
         (lambda: build_kn_machine.__wrapped__(4),
-         "96c086e0422770fd424080ffa5533360765edfdc3bfcdb50d528636c6de33e9f"),
+         "3b3b1028057ae06db7e376e4f24d13f04c8e3744d197dc50241c5401e5cc266e"),
         (lambda: build_kn_machine.__wrapped__(5),
-         "df5fca30507458fdad8fb9f39fcfccd919bc9598ca4a4cbccd60f6370a3a25d1"),
+         "5719989af7f46ea931363148db33a99542b184dec3811fdb32eec6b3cbe5df59"),
     ],
     ids=["k3", "k4", "k5"],
 )
@@ -278,47 +278,55 @@ def test_every_resolved_entry_matches_first_rule(build, digest):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+def _table_keys(machine):
+    return {(state, cell) for state, row in enumerate(machine.table)
+            for cell in row}
+
+
 def test_run_resolves_only_the_entries_it_reads():
+    """A sweeping run resolves exactly the (state, cell) pairs that
+    single steps read: naive_run, on a second fresh table, resolves each
+    pair it reads and nothing else."""
     machine = build_kn_machine.__wrapped__(5)  # a fresh, empty table
     assert not any(machine.table)
     result = run(machine, witness_kunz(5, 19))
-    assert result.steps == 589_899
-    resolved = sum(map(len, machine.table))
-    assert 0 < resolved < 0.01 * len(machine.state_names) * len(machine.cells)
+    assert result.steps == 12_090
+    single = build_kn_machine.__wrapped__(5)
+    assert naive_run(single, witness_kunz(5, 19)) == result.to_json_dict()
+    resolved = _table_keys(machine)
+    assert resolved == _table_keys(single)
     # a repeat run reads the memoised entries and resolves nothing new
     assert run(machine, witness_kunz(5, 19)) == result
-    assert sum(map(len, machine.table)) == resolved
+    assert _table_keys(machine) == resolved
 
 
 @pytest.mark.parametrize(
     "depth,word,steps,verdict",
     [
-        (4, witness_kunz(4, 19), 260_306, "accept"),
-        (4, witness_nonkunz(4, 10, 3), 9_189, "reject"),
-        (6, witness_kunz(6, 24), 2_207_405, "accept"),
-        (6, witness_nonkunz(6, 8, 1), 7_743, "reject"),
-        (6, Word((3,) * 40 + (6,)), 83, "accept"),
-        (6, Word((6,) + (3,) * 40 + (2,)), 103_714, "accept"),
+        (4, witness_kunz(4, 19), 6_903, "accept"),
+        (4, witness_nonkunz(4, 10, 3), 772, "reject"),
+        (6, witness_kunz(6, 24), 29_646, "accept"),
+        (6, witness_nonkunz(6, 8, 1), 774, "reject"),
+        (6, Word((3,) * 40 + (6,)), 42, "accept"),
+        (6, Word((6,) + (3,) * 40 + (2,)), 3_655, "accept"),
     ],
     ids=["k4-kunz", "k4-nonkunz", "k6-kunz", "k6-nonkunz", "k6-threes",
          "k6-threes-and-a-two"],
 )
 def test_kn_step_counts_are_pinned(depth, word, steps, verdict):
-    """Runs over live and vacuous pairs, overflowing sums and both
-    verdicts: a change to any transition they take moves the count.
-    The threes take phase 1's core path, 2l+1 steps; the final 2 sends
-    the same threes through every (vacuous) pair."""
+    """Runs over both conditions, the sentinel and both verdicts: a
+    change to any transition they take moves the count.  The threes are
+    decided in phase 1, in l+1 steps; the final 2 sends the same threes
+    through every rotation, (2l+1)(l+1) steps."""
     result = run(build_kn_machine(depth), word, max_steps=10**7)
     assert (result.steps, result.verdict) == (steps, verdict)
 
 
-@pytest.mark.parametrize("depth,most", [(4, 105), (5, 151), (6, 205)])
-def test_kn_state_count(depth, most):
-    """One pair family per x family and checked bound, one crossing, one
-    walk back and one overflow tail per checked bound for each x family,
-    one shared family for the x letters n-1 and n, one phase 7, and
-    step1.core, the rewind that accepts a word over {ceil(n/2)..n}."""
-    assert len(build_kn_machine(depth).state_names) <= most
+@pytest.mark.parametrize("depth,count", [(4, 16), (5, 19), (6, 22), (24, 76)])
+def test_kn_state_count(depth, count):
+    """Five phase-1 states, one rotation per carried symbol 0..n, and a
+    check per index letter u and flag w, one for each u >= n-1: 3n+4."""
+    assert len(build_kn_machine(depth).state_names) == count
 
 
 @pytest.mark.parametrize(
@@ -442,12 +450,15 @@ def test_sweep_sets_hold_only_resolved_passes(depth, build):
 
 
 # ---------------------------------------------------------------------------
-# The core: over the letters >= ceil(n/2) every pair sum reaches n, so
-# no pair check can fail and K_n's phase 1 decides such a word alone:
-# a sweep right, then step1.core's sweep back to accept (2l+1 steps), or
-# the reject at the right marker when n is missing (l+1 steps).
+# The step and cell formulas.  Over the letters >= ceil(n/2) every pair
+# sum reaches n, so no check can fail and K_n's phase 1 decides such a
+# word alone at the right marker, in l+1 steps.  Any other accepted word
+# takes l+1 steps in phase 1, 2l+1 per index and l for the last
+# rotation: (2l+1)(l+1).  Every run visits the l+1 cells up to the right
+# marker, on three tracks.
 
 CORE_DEPTHS = [3, 4, 5, 6]
+FORMULA_DEPTHS = [3, 4, 5, 6, 7]
 
 
 def _assert_core_run(machine, depth, word):
@@ -455,8 +466,8 @@ def _assert_core_run(machine, depth, word):
     assert result.accepted == in_kunz_language(word, depth)
     assert result.accepted == (depth in word.letters)
     length = len(word)
-    assert result.steps == (2 * length + 1 if result.accepted else length + 1)
-    assert result.cells_used == 5 * (length + 1)
+    assert result.steps == length + 1
+    assert result.cells_used == 3 * (length + 1)
 
 
 @pytest.mark.parametrize("depth", CORE_DEPTHS)
@@ -485,8 +496,55 @@ def test_seeded_core_words_up_to_length_500(depth):
 
 
 def test_long_core_word_fits_the_default_budget():
-    """Without step1.core this word needs about 10^9 steps."""
+    """Without phase 1's accept this word needs (2l+1)(l+1) = 2,003,001
+    steps, over the default budget."""
     word = Word((3, 4, 5, 6) * 250)
     result = run(build_kn_machine(6), word)
-    assert (result.verdict, result.steps) == (ACCEPT, 2_001)
-    assert result.cells_used == 5 * 1_001
+    assert (result.verdict, result.steps) == (ACCEPT, 1_001)
+    assert (result.cells_used, result.bound) == (3 * 1_001, 4 * 1_000)
+
+
+def _ramp(depth, length):
+    """The word ceil(k * depth / length), k = 1..length: ceilings are
+    superadditive and the word rises to depth, so it is in K_depth, and
+    from length depth on it starts with a 1."""
+    return Word(tuple(-(-k * depth // length) for k in range(1, length + 1)))
+
+
+@pytest.mark.parametrize("depth", FORMULA_DEPTHS)
+def test_accepted_words_take_the_formula_steps(depth):
+    """A ramp and the all-n word of every length 1..60, and every block
+    witness up to length 121."""
+    machine = build_kn_machine(depth)
+    words = [_ramp(depth, length) for length in range(1, 61)]
+    words += [Word((depth,) * length) for length in range(1, 61)]
+    words += [witness_kunz(depth, n) for n in range(1, 120 // (depth - 1) + 1)]
+    for word in words:
+        result = run(machine, word)
+        assert result.accepted and in_kunz_language(word, depth)
+        length = len(word)
+        small = any(2 * v < depth for v in word)
+        assert result.steps == ((2 * length + 1) * (length + 1) if small
+                                else length + 1)
+        assert result.cells_used == 3 * (length + 1) <= result.bound
+
+
+@pytest.mark.parametrize("depth", FORMULA_DEPTHS)
+def test_every_run_uses_three_tracks_up_to_the_right_marker(depth):
+    """Every word over {1..n} of length at most 3, padded block
+    non-witnesses and 200 seeded random words up to length 80, which
+    halt in every phase: phase 1, a check or the last rotation."""
+    import random
+
+    rng = random.Random(1700 + depth)
+    machine = build_kn_machine(depth)
+    alphabet = range(1, depth + 1)
+    words = [Word(letters) for length in range(0, 4)
+             for letters in itertools.product(alphabet, repeat=length)]
+    words += [witness_nonkunz(depth, n, m) for n in (1, 5, 10) for m in (1, 3)]
+    words += [Word(tuple(rng.choice(alphabet) for _ in range(rng.randint(1, 80))))
+              for _ in range(200)]
+    for word in words:
+        result = run(machine, word)
+        assert result.accepted == in_kunz_language(word, depth)
+        assert result.cells_used == 3 * (len(word) + 1) <= result.bound
