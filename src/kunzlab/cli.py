@@ -100,10 +100,7 @@ def cmd_lba(args) -> int:
     from . import lba
     from .words import Word
 
-    if args.depth == 3:
-        machine = lba.build_k3_machine()
-    else:
-        machine = lba.build_kn_machine(args.depth)
+    machine = lba.build_kn_machine(args.depth)
     word = Word.parse(args.word)
     result = lba.run(machine, word, want_trace=args.trace,
                      **_given(max_steps=args.max_steps))

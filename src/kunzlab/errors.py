@@ -44,12 +44,11 @@ class ResourceBound(KunzlabError):
 
 class StepBudgetExceeded(KunzlabError):
     """A machine run did not halt within the step budget.  The machines
-    shipped here always halt, but the depth-3 machine's steps grow as
-    Theta(l^3) in the word length l: it needs 700,557 steps at l = 139
-    and 1,043,037 at l = 159 (witness_kunz(3, 79)), past the default
-    budget of 10^6.  So a long word trips the default budget without
-    any bug.  The depth-n machines take at most (2l+1)(l+1) steps, under
-    10^6 up to l = 706."""
+    shipped here always halt, but their steps grow as Theta(l^2) in the
+    word length l: an accepted word with a letter below ceil(n/2) takes
+    (2l+1)(l+1), under the default budget of 10^6 up to l = 706 and past
+    it from l = 707 (1,001,820 steps for witness_kunz(3, 353)).  So a
+    long word trips the default budget without any bug."""
 
 
 class MachineDefinitionError(KunzlabError):

@@ -1,47 +1,7 @@
 """The tape-bounded acceptors for the depth-q word languages.
 
-The depth-3 machine build_k3_machine() follows the paper's construction
-on five tracks over the input width plus end markers:
-
-    track 1  input letters, crossed in place as they are processed
-    track 2  index i of the current primary position, in unary
-    track 3  index j of the current partner position, in unary
-    track 4  the sum i+j, in unary
-    track 5  the input length, in unary; its first cell doubles as the
-             origin mark '#' so the head never needs the left marker
-
-Tracks 2-5 hold unary values as mark prefixes anchored at the first
-input cell, so the value k reads as "the rightmost mark sits on cell k".
-
-It only has to chase one failure shape: two letters 1 at positions i
-and j with a 3 at position i+j (any other letter pair already sums past
-every letter of the alphabet, and the shifted second condition can
-never bite below letter 4).  Its control flow follows seven numbered
-phases, visible in the state names and the run traces:
-
-    1  sweep right checking a 3 occurs, recording the length on track 5
-    2  cross the next unchecked 1 as x, recording its index on tracks 2-3
-    3  build i+i on track 4 and reject if cell 2i holds a 3
-    4  mark the next 1 to the right as y, extending track 3 to j
-    5  extend track 4 to i+j
-    6  reject if cell i+j holds a 3
-    7  after the last y: restore ys to 1s, reset the scratch tracks to
-       the index of x, and resume phase 2 right of x
-
-When a sum runs off the tape the pair constrains nothing; the machine
-notices by bumping into the right marker while appending (the fused
-comparison against the track-5 length) and abandons the pair.
-
-Phase 7's cleanup is implemented as: walk left to the rightmost x
-restoring ys and blanking tracks 3-4, then keep walking to the origin
-turning the consumed marks of track 3 back into plain ones, so tracks 2
-and 3 both spell the index of x again.  That reading of the cleanup is a
-choice; the bookkeeping invariant it maintains is checked by the tests
-through trace snapshots.  Pairs are walked to in unary, so the steps
-grow as Theta(l^3).
-
-The general machine build_kn_machine(n) decides K_n for any n >= 3, both
-conditions included, on three tracks:
+build_kn_machine(n) decides K_n for any n >= 3, both conditions
+included, on three tracks; build_k3_machine() is its depth-3 instance:
 
     track 1  the input letters u_1 .. u_l, never written
     track 2  B, a rotated copy of the cyclic word c = (0, u_1, ..., u_l)
@@ -95,77 +55,12 @@ from .simulator import (
     RIGHT,
 )
 
-T1, T2, T3, T4, T5 = range(5)
 ORIGIN = "#"
 
 # Largest depth build_kn_machine accepts.  Its states grow as n and its
 # rules as n^2: on a 2-CPU VM with Python 3.11, depth 24 (76 states,
 # 1,973 rules) builds in about 0.015 s at 16 MB peak RSS.
 MAX_MACHINE_DEPTH = 24
-
-
-def build_k3_machine() -> CompiledMachine:
-    """Five-track acceptor for the depth-3 language."""
-    letters = ("1", "2", "3")
-    b = MachineBuilder(
-        "k3",
-        track_symbols=[
-            letters + ("x", "y"),
-            (BLANK, "1"),
-            (BLANK, "1", "c"),
-            (BLANK, "1"),
-            (BLANK, ORIGIN, "1"),
-        ],
-        input_alphabet=(1, 2, 3),
-        bound_factor=6,
-        start="step1.mark",
-    )
-    _emit_length_sweep(b, letters, then="step2.scan")
-
-    # 2: cross the next unchecked 1 as x, extending the unary index
-    b.add("step2.scan", marker="]", goto=ACCEPT)
-    b.add("step2.scan", when={T1: "1", T5: ORIGIN},
-          write={T1: "x", T2: "1", T3: "1"}, goto="step3.copy")
-    b.add("step2.scan", when={T1: "1"},
-          write={T1: "x", T2: "1", T3: "1"}, move=LEFT, goto="step3.rewind")
-    b.add("step2.scan", when={T1: {"2", "3"}},
-          write={T2: "1", T3: "1"}, move=RIGHT, goto="step2.scan")
-
-    # 3: sum i+i on track 4 and probe cell 2i for a 3 (over 1+1, the
-    # limit for every pair here, since x and y only ever cover 1s)
-    _emit_double(b, on_overflow="step3.sweep")
-    _emit_probe(b, "step3.check", then="step3.back")
-    _emit_back(b, "step3.back", home="x", then="step4.scan")
-    # 2i ran off the tape: mark the leftovers consumed and move to phase 4
-    _emit_spend_rest(b, "step3.sweep", then="step4.seek")
-    _emit_back_to_x(b, "step4.seek", "step4.atx", then="step4.scan")
-
-    # 4 / 7: mark the next 1 as y, extending track 3 to its index; past
-    # the last 1, phase 4 accepts and phase 7 restores and advances the x
-    b.add("step4.scan", marker="]", goto=ACCEPT)
-    b.add("step7.scan", marker="]", move=LEFT, goto="step7.restore")
-    for scan in ("step4.scan", "step7.scan"):
-        b.add(scan, when={T1: "1"}, write={T1: "y", T3: "1"},
-              goto="step5.add.take")
-        b.add(scan, when={T1: {"2", "3"}}, write={T3: "1"}, move=RIGHT,
-              goto=scan)
-
-    # 5: extend the sum to i+j
-    _emit_add(b, "step5.add", on_done="step5.goto", on_overflow="step5.sweep")
-    _emit_goto_last(b, "step5.goto", T4, then="step6.check")
-    # i+j ran off the tape: abandon the pair, return to the y
-    _emit_spend_rest(b, "step5.sweep", then="step5.ff")
-    _emit_forward(b, "step5.ff", then="step5.aty")
-    b.add("step5.aty", when={T1: "y"}, move=RIGHT, goto="step7.scan")
-
-    # 6: probe cell i+j for a 3, then return to the newest y
-    _emit_probe(b, "step6.check", then="step6.back")
-    _emit_back(b, "step6.back", home="y", then="step7.scan")
-
-    # 7: restore and advance the x; 2s and 3s pass unchanged
-    _emit_restore(b, {"y": "1", "2": "2", "3": "3"}, then="step2.scan")
-
-    return b.compile()
 
 
 @lru_cache(maxsize=None)
@@ -187,7 +82,7 @@ def build_kn_machine(n: int) -> CompiledMachine:
         )
     letters = tuple(str(v) for v in range(1, n + 1))
     symbols = ("0",) + letters  # B's symbols; "0" is the sentinel
-    word, rotated, origin = T1, T2, T3  # the input, B, the origin mark
+    word, rotated, origin = range(3)  # the input, B, the origin mark
     b = MachineBuilder(
         f"k{n}",
         track_symbols=[letters, (BLANK,) + symbols, (BLANK, ORIGIN)],
@@ -246,118 +141,6 @@ def build_kn_machine(n: int) -> CompiledMachine:
     return b.compile()
 
 
-# The phase emitters below build the depth-3 machine.
-
-
-def _emit_length_sweep(b, letters, then) -> None:
-    """Phase 1: reject unless the top letter occurs; lay the length on track 5."""
-    top, small = letters[-1], letters[:-1]
-    b.add("step1.mark", marker="]", goto=REJECT)
-    b.add("step1.mark", when={T1: top}, write={T5: ORIGIN}, move=RIGHT,
-          goto="step1.scan_seen")
-    b.add("step1.mark", when={T1: small}, write={T5: ORIGIN}, move=RIGHT,
-          goto="step1.scan_need")
-    b.add("step1.scan_need", marker="]", goto=REJECT)
-    b.add("step1.scan_need", when={T1: top}, write={T5: "1"}, move=RIGHT,
-          goto="step1.scan_seen")
-    b.add("step1.scan_need", when={T1: small}, write={T5: "1"}, move=RIGHT,
-          goto="step1.scan_need")
-    b.add("step1.scan_seen", marker="]", move=LEFT, goto="step1.rewind")
-    b.add("step1.scan_seen", write={T5: "1"}, move=RIGHT, goto="step1.scan_seen")
-    _emit_rewind(b, "step1.rewind", then=then)
-
-
-def _emit_rewind(b, name, then) -> None:
-    """Walk left to the origin and hand control to ``then`` there; an end
-    marker rejects."""
-    b.add(name, when={T5: ORIGIN}, goto=then)
-    b.add(name, marker="[", goto=REJECT)
-    b.add(name, marker="]", goto=REJECT)
-    b.add(name, move=LEFT, goto=name)
-
-
-def _emit_goto_last(b, name, track, then) -> None:
-    """From inside or left of ``track``'s unary prefix, walk right past its
-    end and step back onto the cell whose index is its value."""
-    b.add(name, when={track: "1"}, move=RIGHT, goto=name)
-    b.add(name, marker="]", move=LEFT, goto=then)
-    b.add(name, move=LEFT, goto=then)
-
-
-def _emit_add(b, name, on_done, on_overflow) -> None:
-    """Append one track-4 unit per unspent track-3 mark, spending the
-    marks right to left as 'c'.  Enter at ``name.take`` at or right of
-    the rightmost unspent mark; leave for ``on_done`` on the origin once
-    track 3 is spent, or for ``on_overflow`` on the last cell when a unit
-    would land past the right marker (the sum exceeds the length)."""
-    take, put = name + ".take", name + ".put"
-    b.add(take, when={T3: "1"}, write={T3: "c"}, move=RIGHT, goto=put)
-    b.add(take, when={T5: ORIGIN, T3: "c"}, goto=on_done)
-    b.add(take, when={T3: {"c", BLANK}}, move=LEFT, goto=take)
-    b.add(put, when={T4: "1"}, move=RIGHT, goto=put)
-    b.add(put, when={T4: BLANK}, write={T4: "1"}, move=LEFT, goto=take)
-    b.add(put, marker="]", move=LEFT, goto=on_overflow)
-
-
-def _emit_double(b, on_overflow) -> None:
-    """Phase 3's prelude: put i+i on track 4 and park the head on cell 2i."""
-    _emit_rewind(b, "step3.rewind", then="step3.copy")
-    b.add("step3.copy", when={T2: "1"}, write={T4: "1"}, move=RIGHT,
-          goto="step3.copy")
-    b.add("step3.copy", when={T2: BLANK}, move=LEFT, goto="step3.add.take")
-    b.add("step3.copy", marker="]", move=LEFT, goto="step3.add.take")
-    _emit_add(b, "step3.add", on_done="step3.goto", on_overflow=on_overflow)
-    _emit_goto_last(b, "step3.goto", T4, then="step3.check")
-
-
-def _emit_probe(b, check, then) -> None:
-    """First condition at the probed, unmarked cell: reject a 3, else step
-    left and go to ``then``."""
-    b.add(check, when={T1: ("1", "2")}, move=LEFT, goto=then)
-    b.add(check, when={T1: "3"}, goto=REJECT)
-
-
-def _emit_back(b, back, *, home, then) -> None:
-    """Walk left over unmarked letters to the ``home`` mark and go to
-    ``then`` right of it."""
-    b.add(back, when={T1: home}, move=RIGHT, goto=then)
-    b.add(back, when={T1: ("1", "2", "3")}, move=LEFT, goto=back)
-
-
-def _emit_spend_rest(b, name, then) -> None:
-    """Walk left to the origin marking every unit of track 3 spent."""
-    b.add(name, when={T5: ORIGIN, T3: "1"}, write={T3: "c"}, goto=then)
-    b.add(name, when={T5: ORIGIN}, goto=then)
-    b.add(name, when={T3: "1"}, write={T3: "c"}, move=LEFT, goto=name)
-    b.add(name, move=LEFT, goto=name)
-
-
-def _emit_forward(b, name, then) -> None:
-    """Walk right over the spent units of track 3, stopping on the y."""
-    b.add(name, when={T3: "c"}, move=RIGHT, goto=name)
-    b.add(name, when={T3: BLANK}, move=LEFT, goto=then)
-    b.add(name, marker="]", move=LEFT, goto=then)
-
-
-def _emit_back_to_x(b, seek, atx, then) -> None:
-    """Go to the x, whose index track 2 holds, and step right of it."""
-    _emit_goto_last(b, seek, T2, then=atx)
-    b.add(atx, when={T1: "x"}, move=RIGHT, goto=then)
-
-
-def _emit_restore(b, restores, then) -> None:
-    """Phase 7: walk left to the x turning each mark in ``restores`` back
-    into its letter, unspend track 3, then return right of the x."""
-    for mark, letter in restores.items():
-        b.add("step7.restore", when={T1: mark},
-              write={T1: letter, T3: BLANK, T4: BLANK}, move=LEFT,
-              goto="step7.restore")
-    b.add("step7.restore", when={T1: "x", T5: ORIGIN},
-          write={T3: "1", T4: BLANK}, goto="step7.seek")
-    b.add("step7.restore", when={T1: "x"},
-          write={T3: "1", T4: BLANK}, move=LEFT, goto="step7.unspend")
-    b.add("step7.unspend", when={T3: "c", T5: ORIGIN},
-          write={T3: "1", T4: BLANK}, goto="step7.seek")
-    b.add("step7.unspend", when={T3: "c"},
-          write={T3: "1", T4: BLANK}, move=LEFT, goto="step7.unspend")
-    _emit_back_to_x(b, "step7.seek", "step7.atx", then=then)
+def build_k3_machine() -> CompiledMachine:
+    """The depth-3 acceptor: build_kn_machine(3), the same cached machine."""
+    return build_kn_machine(3)

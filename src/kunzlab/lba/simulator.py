@@ -373,11 +373,10 @@ def run(
     cells_used and the budget trip are those of single steps.  With
     ``want_trace`` the first TRACE_LIMIT steps are taken and recorded
     singly, and the rest sweep as without a trace.  Raises
-    StepBudgetExceeded if no verdict is reached within ``max_steps`` (the
-    depth-3 machine's steps grow as Theta(l^3): it needs 1,043,037 for
-    witness_kunz(3, 79), of length 159, so long words pass the default
-    10^6 without any bug; build_kn_machine(n) takes at most (2l+1)(l+1),
-    and l+1 on a word over {ceil(n/2)..n}),
+    StepBudgetExceeded if no verdict is reached within ``max_steps``
+    (build_kn_machine(n) takes at most (2l+1)(l+1) steps, and l+1 on a
+    word over {ceil(n/2)..n}, so words from length 707 on can pass the
+    default 10^6 without any bug),
     DomainError for max_steps < 1 and LetterOutOfAlphabet off the alphabet.
     """
     if max_steps < 1:

@@ -168,6 +168,16 @@ def test_lba_long_depth6_witness_fits_the_default_budget(capsys):
                                "cells_used": 3 * 122, "bound": 4 * 121}
 
 
+def test_lba_long_depth3_witness_fits_the_default_budget(capsys):
+    """The length-159 block witness 1^79 2^79 3 takes (2l+1)(l+1) steps
+    on three tracks over l+1 cells."""
+    word = str(kunzlab.witness_kunz(3, 79))
+    code, out, _ = run_cli(capsys, "lba", "--depth", "3", "--word", word)
+    assert code == 0
+    assert out == ('{"verdict": "accept", "steps": 51040, "cells_used": 480, '
+                   '"bound": 636}\n')
+
+
 @pytest.mark.parametrize("depth", [kunzlab.lba.MAX_MACHINE_DEPTH + 1, 10**9])
 def test_lba_depth_over_ceiling(capsys, depth):
     code, out, err = run_cli(capsys, "lba", "--depth", str(depth), "--word", "1")
@@ -245,15 +255,16 @@ def test_lba_trace_goes_to_stderr(capsys):
     json.loads(out)  # stdout stays pure JSON
     lines = err.strip().splitlines()
     assert lines and lines[0].split("\t")[2] == "step1.mark"
-    assert len(lines[0].split("\t")) == 3 + 5
+    assert len(lines[0].split("\t")) == 3 + 3
 
 
 def test_lba_long_trace_is_truncated(capsys):
-    argv = ["lba", "--depth", "3", "--word", ",".join(["3"] + ["1"] * 25)]
+    argv = ["lba", "--depth", "3", "--word",
+            str(kunzlab.witness_kunz(3, 35))]  # 10,296 steps
     code, out, err = run_cli(capsys, *argv, "--trace")
     lines = err.splitlines()
     assert len(lines) == 10_000 + 1
-    assert all(len(line.split("\t")) == 3 + 5 for line in lines[:-1])
+    assert all(len(line.split("\t")) == 3 + 3 for line in lines[:-1])
     assert lines[-1] == "... trace truncated"
     assert (code, out, "") == run_cli(capsys, *argv)
 
@@ -372,7 +383,7 @@ def test_each_subcommand_imports_only_what_it_needs(argv):
 def test_lba_default_budget_is_the_library_default(capsys):
     """Without --max-steps the run trips at lba.DEFAULT_STEP_BUDGET, as
     with that budget given explicitly: the flag keeps no copy of it."""
-    word = str(kunzlab.witness_kunz(3, 79))  # 1,043,037 steps
+    word = str(kunzlab.witness_kunz(3, 353))  # 1,001,820 steps
     code, out, err = run_cli(capsys, "lba", "--depth", "3", "--word", word)
     assert (code, out) == (3, "")
     assert f" passed {kunzlab.lba.DEFAULT_STEP_BUDGET} steps " in err

@@ -75,11 +75,8 @@ def test_k4_oracle_sweep(depth):
 
 
 def test_generic_k3_agrees_with_special_machine(k3_machine):
-    generic = build_kn_machine(3)
-    for length in range(0, 6):
-        for letters in itertools.product((1, 2, 3), repeat=length):
-            word = Word(letters)
-            assert run(generic, word).verdict == run(k3_machine, word).verdict
+    """The depth-3 name builds no machine of its own."""
+    assert k3_machine is build_k3_machine() is build_kn_machine(3)
 
 
 def test_kn_needs_depth_three():
@@ -107,10 +104,10 @@ def test_k3_step_budget_surfaces(k3_machine):
 
 
 def test_k3_cells_formula(k3_machine):
-    # every run sweeps the whole input, so five tracks over l+1 positions
+    # every run sweeps the whole input, so three tracks over l+1 positions
     for letters in [(3,), (1, 2, 3), (2, 2, 3), (1, 1, 2, 3)]:
         result = run(k3_machine, Word(letters))
-        assert result.cells_used == 5 * (len(letters) + 1)
+        assert result.cells_used == 3 * (len(letters) + 1)
 
 
 def test_k3_tape_bound_long_inputs(k3_machine):
@@ -137,19 +134,22 @@ def _stress_words(length, top):
 @pytest.mark.parametrize("letters", [(1, 1, 2, 2, 3), (1, 2, 1, 2, 3),
                                      (3, 1, 1, 1)])
 def test_k3_restart_bookkeeping(k3_machine, letters):
-    """At each return to the crossing scan, tracks 2 and 3 both spell the
-    index of the rightmost x, track 4 is clean, and no y marks remain."""
+    """At the start of round i's check, on the origin, the control holds
+    u_i and track 2 spells the cyclic word (0, u_1, ..., u_l) rotated left
+    by i from cell 1 on; tracks 1 and 3 still hold the input and the
+    origin mark."""
     result = run(k3_machine, Word(letters), want_trace=True)
-    boundaries = [e for e in result.trace if e.macro == "step7.atx"]
-    assert boundaries, "expected at least one x advance"
-    for entry in boundaries:
-        t1, t2, t3, t4, t5 = entry.tracks
-        x_pos = t1.rindex("x")
-        prefix = "[" + "1" * x_pos
-        assert t2.startswith(prefix) and "1" not in t2[x_pos + 1:-1]
-        assert t3 == t2
-        assert set(t4) == {"[", "_", "]"}
-        assert "y" not in t1
+    cyclic = "0" + "".join(map(str, letters))
+    rounds = [entry for before, entry in zip(result.trace, result.trace[1:])
+              if before.macro.startswith("step3.")
+              and entry.macro.startswith("step2.")]
+    assert rounds, "expected at least one rotation"
+    for i, entry in enumerate(rounds, start=1):
+        rotated = cyclic[i:] + cyclic[:i]
+        assert entry.head == 1
+        assert entry.macro.startswith(f"step2.check[{rotated[0]}")
+        assert entry.tracks == ("[" + cyclic[1:] + "]", "[" + rotated[1:] + "]",
+                                "[#" + "_" * (len(letters) - 1) + "]")
 
 
 def test_fixed_seed_fuzz_beyond_sweep_lengths(k3_machine, k4_machine):
@@ -175,7 +175,7 @@ def test_k3_trace_is_step_shaped(k3_machine):
 
 
 def test_k3_long_trace_truncates(k3_machine):
-    word = Word((3,) + (1,) * 25)
+    word = witness_kunz(3, 35)  # 10,296 steps
     result = run(k3_machine, word, want_trace=True)
     assert result.trace_truncated
     assert len(result.trace) == 10_000
@@ -242,8 +242,8 @@ def _equivalence_classes(machine, table):
 @pytest.mark.parametrize(
     "build,digest",
     [
-        (build_k3_machine,
-         "7b89a9a19461f6b69d988505abe99f71472b9a4aba4ecc3d2c502b0443756046"),
+        (lambda: build_kn_machine.__wrapped__(3),
+         "bc1b846d5b7dfcf7dde4493d2c1c1d5905e88efda2804b825007a35ed174205f"),
         (lambda: build_kn_machine.__wrapped__(4),
          "3b3b1028057ae06db7e376e4f24d13f04c8e3744d197dc50241c5401e5cc266e"),
         (lambda: build_kn_machine.__wrapped__(5),
@@ -331,8 +331,8 @@ def test_kn_state_count(depth, count):
 
 @pytest.mark.parametrize(
     "build",
-    [build_k3_machine] + [lambda n=n: build_kn_machine(n) for n in (3, 4, 5)],
-    ids=["k3", "kn3", "k4", "k5"],
+    [lambda n=n: build_kn_machine(n) for n in (3, 4, 5)],
+    ids=["kn3", "k4", "k5"],
 )
 def test_machines_are_minimal(build):
     """Every rule is the first match for some cell, every state but the
@@ -420,7 +420,7 @@ def test_sweeps_match_single_steps_on_block_words(depth, build):
 def test_every_budget_below_the_step_count_trips(k3_machine):
     word = witness_kunz(3, 9)
     steps = run(k3_machine, word).steps
-    assert steps == 2_277
+    assert steps == 780
     for budget in range(1, steps + 1):
         if budget < steps:
             with pytest.raises(StepBudgetExceeded) as exc:

@@ -20,7 +20,6 @@ from kunzlab.lba import (
     format_trace,
     run,
 )
-from kunzlab.lba.machines import T3, T4, T5, _emit_add, _emit_goto_last
 
 
 def two_track_builder(**kwargs):
@@ -224,82 +223,6 @@ def test_run_result_json():
         "cells_used": result.cells_used,
         "bound": result.bound,
     }
-
-
-# --- the machines' unary emitters, each on a purpose-built toy machine ---
-
-
-def unary_builder():
-    """Five tracks like the machines': input, an unused index track, then
-    the source value, the destination value and the '#' origin mark."""
-    return MachineBuilder(
-        "unary",
-        track_symbols=[
-            ("1", "2", "3"),
-            (BLANK,),
-            (BLANK, "1", "c"),
-            (BLANK, "1"),
-            (BLANK, "#"),
-        ],
-        input_alphabet=(1, 2, 3),
-        bound_factor=40,
-        start="mark",
-    )
-
-
-def setup_unary_tracks(b):
-    """Lay down unary values from the input: the source track gets a mark
-    under every 1 or 2, the destination track only under 1s, and the
-    origin track a # on the first cell; then rewind there.  Letters 3 are
-    padding."""
-    b.add("mark", write={T5: "#"}, goto="lay")
-    b.add("lay", when={0: "1"}, write={T3: "1", T4: "1"}, move=RIGHT, goto="lay")
-    b.add("lay", when={0: "2"}, write={T3: "1"}, move=RIGHT, goto="lay")
-    b.add("lay", when={0: "3"}, move=RIGHT, goto="lay")
-    b.add("lay", marker="]", move=LEFT, goto="rewind")
-    b.add("rewind", when={T5: "#"}, goto="start_op")
-    b.add("rewind", move=LEFT, goto="rewind")
-
-
-def test_unary_transfer_adds_two_and_three():
-    # source 3 (one per 1 or 2), destination 2 (one per 1): sum 5
-    b = unary_builder()
-    setup_unary_tracks(b)
-    b.add("start_op", goto="add.take")
-    _emit_add(b, "add", on_done="done", on_overflow=REJECT)
-    b.add("done", goto=ACCEPT)
-    m = b.compile()
-    # word 1,1,2,3,3 gives src = 3, dst = 2; expect five marks
-    result = run(m, Word((1, 1, 2, 3, 3)), want_trace=True)
-    assert result.accepted
-    assert result.trace[-1].tracks[T4] == "[11111]"
-    # the transfer ends back on the origin cell
-    assert result.trace[-1].head == 1
-
-
-def test_unary_transfer_overflow_branch():
-    # source 3, destination 3, but only 5 tape cells: 6 > 5 overflows
-    b = unary_builder()
-    setup_unary_tracks(b)
-    b.add("start_op", goto="add.take")
-    _emit_add(b, "add", on_done=REJECT, on_overflow="over")
-    b.add("over", goto=ACCEPT)
-    m = b.compile()
-    assert run(m, Word((1, 1, 1, 3, 3))).accepted
-
-
-def test_goto_last_mark_lands_on_index():
-    # destination holds unary 3; the landing cell must be index 3
-    b = unary_builder()
-    setup_unary_tracks(b)
-    b.add("start_op", goto="goto")
-    _emit_goto_last(b, "goto", T4, then="landed")
-    b.add("landed", when={T4: "1"}, goto=ACCEPT)
-    b.add("landed", goto=REJECT)
-    m = b.compile()
-    result = run(m, Word((1, 1, 1, 2, 3)), want_trace=True)
-    assert result.accepted
-    assert result.trace[-1].head == 3
 
 
 def test_lba_exports_match_all():
