@@ -325,12 +325,6 @@ class PositionMarking(Frozen):
         object.__setattr__(self, "distinguished", distinguished)
         object.__setattr__(self, "excluded", excluded)
 
-    def count_in(self, lo: int, hi: int) -> tuple[int, int]:
-        """(distinguished, excluded) counts among positions lo+1 .. hi."""
-        d = sum(1 for p in self.distinguished if lo < p <= hi)
-        e = sum(1 for p in self.excluded if lo < p <= hi)
-        return d, e
-
 
 def pump(word: Word, decomposition: Decomposition, k: int) -> Word:
     """u v^k x y^k z.  k = 1 reproduces the word itself."""
@@ -464,7 +458,11 @@ def bader_moura_refute(
 
     # marked positions among 1..c for every cut c, once per word, so the
     # counts in a window are differences
-    dist, excl = zip(*(marking.count_in(0, c) for c in range(length + 1)))
+    dist, excl = (
+        tuple(itertools.accumulate(
+            (pos in marked for pos in range(1, length + 1)), initial=0))
+        for marked in (marking.distinguished, marking.excluded)
+    )
     records = []
     for cuts in itertools.combinations_with_replacement(range(length + 1), 4):
         c1, c2, c3, c4 = cuts
@@ -477,27 +475,18 @@ def bader_moura_refute(
         if d_vxy > p ** (e_vxy + 1):
             continue
         decomposition = Decomposition(cuts=cuts)
-        found: tuple[int, Word, str] | None = None
         for k in range(k_max + 1):
             pumped = pump(word, decomposition, k)
             if not is_kunz(pumped):
-                found = (k, pumped, "not_kunz")
+                reason = "not_kunz"
                 break
             if pumped.depth != q:
-                found = (k, pumped, "wrong_depth")
+                reason = "wrong_depth"
                 break
-        records.append(
-            RefutationRecord(
-                decomposition=decomposition,
-                d_vy=d_vy,
-                e_vy=e_vy,
-                d_vxy=d_vxy,
-                e_vxy=e_vxy,
-                k=found[0] if found else None,
-                pumped=found[1] if found else None,
-                reason=found[2] if found else None,
-            )
-        )
+        else:
+            k = pumped = reason = None
+        records.append(RefutationRecord(decomposition, d_vy, e_vy, d_vxy, e_vxy,
+                                        k, pumped, reason))
 
     report = RefutationReport(
         depth=q, p=p, k_max=k_max, word=word, marking=marking,

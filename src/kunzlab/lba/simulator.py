@@ -50,7 +50,7 @@ from ..errors import (
     MachineDefinitionError,
     StepBudgetExceeded,
 )
-from ..words import Word
+from ..words import Word, _check_length
 
 BLANK = "_"
 LEFT_MARKER = "["
@@ -167,61 +167,22 @@ class MachineBuilder:
         )
 
     def compile(self) -> "CompiledMachine":
-        """Number the states and cells and check every jump target.
-
-        No transition is worked out here: each (state, cell) entry is
-        resolved from the rules on first use (CompiledMachine.resolve).
-        """
-        state_names = list(self._rules)
-        if self.start not in self._rules:
-            raise MachineDefinitionError(f"start state {self.start!r} undefined")
-        state_ids = {name: idx for idx, name in enumerate(state_names)}
-
-        def target_id(goto: str) -> int:
-            if goto == ACCEPT:
-                return _ACCEPT_ID
-            if goto == REJECT:
-                return _REJECT_ID
-            if goto not in state_ids:
-                raise MachineDefinitionError(f"rule jumps to unknown state {goto!r}")
-            return state_ids[goto]
-
-        rules = tuple(
-            tuple((rule, target_id(rule.goto)) for rule in self._rules[state])
-            for state in state_names
-        )
-        cells = [(LEFT_MARKER,), (RIGHT_MARKER,)]
-        cells += list(itertools.product(*self.track_symbols))
-        cell_ids = {cell: idx for idx, cell in enumerate(cells)}
-
-        letter_cell = {}
-        for letter in self.input_alphabet:
-            blank_cell = (str(letter),) + (BLANK,) * (self.track_count - 1)
-            letter_cell[letter] = cell_ids[blank_cell]
-
-        return CompiledMachine(
-            name=self.name,
-            track_count=self.track_count,
-            input_alphabet=self.input_alphabet,
-            bound_factor=self.bound_factor,
-            start_id=state_ids[self.start],
-            state_names=tuple(state_names),
-            cells=tuple(cells),
-            cell_ids=cell_ids,
-            letter_cell=letter_cell,
-            rules=rules,
-            table=[{} for _ in state_names],
-            sweeps={},
-        )
+        return CompiledMachine(self)
 
 
 class CompiledMachine(Frozen):
     """Numbered states and cells, the rules, and a memoised transition table.
 
+    Building one from a MachineBuilder numbers the states and cells and
+    checks every jump target, but works out no transition: each (state,
+    cell) entry is resolved from the rules on first use (resolve).
+
     table[state_id] maps a cell_id to (new_cell_id, move, next_state_id),
     with the next-state ids -1 and -2 standing for accept and reject.  A
     row starts empty and gains an entry the first time a run reads that
     (state, cell) pair, so the table holds only the pairs runs reached.
+    letter_cell maps each input letter to the id of its cell with blank
+    scratch tracks; its keys are the input alphabet.
 
     sweeps[state_id, move] is the set of cell_ids whose stored entry in
     that state is (cell_id, move, state_id) with move != 0: a pass that
@@ -231,37 +192,44 @@ class CompiledMachine(Frozen):
     never join it.
     """
 
-    __slots__ = ("name", "track_count", "input_alphabet", "bound_factor",
-                 "start_id", "state_names", "cells", "cell_ids", "letter_cell",
-                 "rules", "table", "sweeps")
+    __slots__ = ("name", "track_count", "bound_factor", "start_id",
+                 "state_names", "cells", "cell_ids", "letter_cell", "rules",
+                 "table", "sweeps")
 
-    def __init__(
-        self,
-        name: str,
-        track_count: int,
-        input_alphabet: frozenset[int],
-        bound_factor: int,
-        start_id: int,
-        state_names: tuple[str, ...],
-        cells: tuple[tuple[str, ...], ...],
-        cell_ids: dict[tuple[str, ...], int],
-        letter_cell: dict[int, int],
-        rules: tuple[tuple[tuple[Rule, int], ...], ...],
-        table: list[dict[int, tuple[int, int, int]]],
-        sweeps: dict[tuple[int, int], set[int]],
-    ):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "track_count", track_count)
-        object.__setattr__(self, "input_alphabet", input_alphabet)
-        object.__setattr__(self, "bound_factor", bound_factor)
+    def __init__(self, builder: MachineBuilder):
+        state_names = tuple(builder._rules)
+        if builder.start not in builder._rules:
+            raise MachineDefinitionError(f"start state {builder.start!r} undefined")
+        targets = {name: idx for idx, name in enumerate(state_names)}
+        start_id = targets[builder.start]
+        targets.update({ACCEPT: _ACCEPT_ID, REJECT: _REJECT_ID})
+        try:
+            rules = tuple(
+                tuple((rule, targets[rule.goto]) for rule in builder._rules[state])
+                for state in state_names
+            )
+        except KeyError as exc:
+            raise MachineDefinitionError(
+                f"rule jumps to unknown state {exc.args[0]!r}"
+            ) from None
+        cells = ((LEFT_MARKER,), (RIGHT_MARKER,),
+                 *itertools.product(*builder.track_symbols))
+        cell_ids = {cell: idx for idx, cell in enumerate(cells)}
+        blanks = (BLANK,) * (builder.track_count - 1)
+        letter_cell = {letter: cell_ids[(str(letter), *blanks)]
+                       for letter in builder.input_alphabet}
+
+        object.__setattr__(self, "name", builder.name)
+        object.__setattr__(self, "track_count", builder.track_count)
+        object.__setattr__(self, "bound_factor", builder.bound_factor)
         object.__setattr__(self, "start_id", start_id)
         object.__setattr__(self, "state_names", state_names)
         object.__setattr__(self, "cells", cells)
         object.__setattr__(self, "cell_ids", cell_ids)
         object.__setattr__(self, "letter_cell", letter_cell)
         object.__setattr__(self, "rules", rules)
-        object.__setattr__(self, "table", table)
-        object.__setattr__(self, "sweeps", sweeps)
+        object.__setattr__(self, "table", [{} for _ in state_names])
+        object.__setattr__(self, "sweeps", {})
 
     def resolve(self, state: int, cell: int) -> tuple[int, int, int]:
         """The entry for (state, cell): the first of the state's rules that
@@ -354,7 +322,9 @@ def _render_tracks(glyphs: list[tuple[str, ...]], tape: list[int]) -> tuple[str,
 def _over_budget(
     machine: CompiledMachine, max_steps: int, word: Word
 ) -> StepBudgetExceeded:
-    return StepBudgetExceeded(f"{machine.name} passed {max_steps} steps on {word!s}")
+    return StepBudgetExceeded(
+        f"{machine.name} passed {max_steps} steps on a word of length {len(word)}"
+    )
 
 
 def run(
@@ -377,17 +347,22 @@ def run(
     (build_kn_machine(n) takes at most (2l+1)(l+1) steps, and l+1 on a
     word over {ceil(n/2)..n}, so words from length 707 on can pass the
     default 10^6 without any bug),
-    DomainError for max_steps < 1 and LetterOutOfAlphabet off the alphabet.
+    DomainError for max_steps < 1 and LetterOutOfAlphabet at the first
+    letter off the alphabet.  Each trace entry renders the whole tape, so
+    a traced word longer than words.MAX_WITNESS_LENGTH is refused up front
+    with ResourceBound.
     """
     if max_steps < 1:
         raise DomainError(f"the step budget must be at least 1, got {max_steps}")
-    for letter in word:
-        if letter not in machine.input_alphabet:
-            raise LetterOutOfAlphabet(
-                f"letter {letter} not in alphabet {sorted(machine.input_alphabet)}"
-            )
-
-    tape = [0] + [machine.letter_cell[letter] for letter in word] + [1]
+    if want_trace:
+        _check_length(len(word), "a traced word")
+    letter_cell = machine.letter_cell
+    try:
+        tape = [0, *map(letter_cell.__getitem__, word), 1]
+    except KeyError as exc:
+        raise LetterOutOfAlphabet(
+            f"letter {exc.args[0]} not in alphabet {sorted(letter_cell)}"
+        ) from None
     end = len(tape)
     pos = 1
     min_pos = max_pos = pos

@@ -355,9 +355,6 @@ def enumerate_semigroups(
     (see _last_row).  Since bound is a multiple of m, the residues of
     [x0, bound) ascend with the positions, so itertools.product yields
     the Apery tuples in the order a position-by-position search would.
-    (10, 4) takes 0.13-0.20 s instead of 0.46-0.59 s, and (12, 4)
-    2.1-2.4 s instead of 6.0-6.8 s (best of 3 in each of two sittings,
-    2-CPU VM, Python 3.11).
 
     Output is ascending-lexicographic by small_elements, with no sort:
     the multiplicities run in ascending order and each position tries

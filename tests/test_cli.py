@@ -178,6 +178,24 @@ def test_lba_long_depth3_witness_fits_the_default_budget(capsys):
                    '"bound": 636}\n')
 
 
+def test_lba_over_budget_message_shows_the_length(capsys):
+    word = str(kunzlab.witness_kunz(3, 353))
+    code, out, err = run_cli(capsys, "lba", "--depth", "3", "--word", word,
+                             "--max-steps", "1000")
+    assert code == 3
+    assert out == ""
+    assert err == "error: k3 passed 1000 steps on a word of length 707\n"
+
+
+def test_lba_long_traced_word_is_refused(capsys):
+    word = ",".join(["1"] * 4096 + ["3"])
+    code, out, err = run_cli(capsys, "lba", "--depth", "3", "--trace",
+                             "--word", word)
+    assert code == 2
+    assert out == ""
+    assert err == "error: a traced word of length 4097 is over the ceiling 4096\n"
+
+
 @pytest.mark.parametrize("depth", [kunzlab.lba.MAX_MACHINE_DEPTH + 1, 10**9])
 def test_lba_depth_over_ceiling(capsys, depth):
     code, out, err = run_cli(capsys, "lba", "--depth", str(depth), "--word", "1")

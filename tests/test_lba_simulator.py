@@ -6,6 +6,7 @@ from kunzlab import (
     DomainError,
     LetterOutOfAlphabet,
     MachineDefinitionError,
+    ResourceBound,
     StepBudgetExceeded,
     Word,
 )
@@ -64,6 +65,21 @@ def test_steps_and_cells_accounting():
 def test_letter_out_of_alphabet():
     with pytest.raises(LetterOutOfAlphabet):
         run(contains_two_machine(), Word((4,)))
+    # the first letter off the alphabet, and the alphabet sorted
+    with pytest.raises(LetterOutOfAlphabet) as exc:
+        run(contains_two_machine(), Word((1, 4, 5)))
+    assert str(exc.value) == "letter 4 not in alphabet [1, 2, 3]"
+
+
+def test_traced_word_over_the_length_ceiling_is_refused_before_any_step():
+    m = contains_two_machine()
+    with pytest.raises(ResourceBound) as exc:
+        run(m, Word((1,) * 4097), want_trace=True)
+    assert str(exc.value) == "a traced word of length 4097 is over the ceiling 4096"
+    assert m.table == [{}]  # no entry was read
+    result = run(m, Word((2,) + (1,) * 4095), want_trace=True)
+    assert result.accepted and len(result.trace) == 1
+    assert run(m, Word((1,) * 4097)).steps == 4098
 
 
 def test_step_budget():
@@ -96,7 +112,7 @@ def test_sweep_from_a_marker_stops_at_the_other_marker():
         for want_trace in (False, True):
             with pytest.raises(StepBudgetExceeded) as exc:
                 run(m, word, max_steps=budget, want_trace=want_trace)
-            assert str(exc.value) == f"toy passed {budget} steps on 1,2,3,1"
+            assert str(exc.value) == f"toy passed {budget} steps on a word of length 4"
     letters = {m.letter_cell[letter] for letter in (1, 2, 3)}
     assert m.sweeps == {(0, RIGHT): letters, (1, LEFT): letters, (1, RIGHT): set()}
 
