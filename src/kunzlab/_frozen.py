@@ -1,15 +1,46 @@
 """Bases for the package's immutable classes.
 
-Each subclass lists its fields in ``__slots__`` and sets them once, in
-its own ``__init__``, through ``object.__setattr__``.  Any later
-assignment or deletion raises AttributeError.  Only the classes whose
-instances are compared by value derive from Value; the rest compare by
-identity and keep the default repr.
+Each subclass lists its fields in ``__slots__``, and Frozen's one
+constructor sets them: positional arguments in ``__slots__`` order,
+keyword arguments by name, and TypeError for a field that is missing,
+repeated, unknown or surplus.  Any later assignment or deletion raises
+AttributeError.  A class keeps an ``__init__`` of its own only to check
+or default its fields before handing them on (Dfa, Decomposition,
+PositionMarking, RunResult), to derive them from another object
+(CompiledMachine, NumericalSemigroup), or because it is built in the
+hot loops and stores its one field directly (Word, and
+semigroups._store_apery).  Only the classes whose instances are
+compared by value derive from Value; the rest compare by identity and
+keep the default repr.
 """
 
 
 class Frozen:
     __slots__ = ()
+
+    def __init__(self, *args, **fields):
+        names = self.__slots__
+        if fields or len(args) != len(names):
+            args = self._bind(args, fields)
+        for name, value in zip(names, args):
+            object.__setattr__(self, name, value)
+
+    def _bind(self, args: tuple, fields: dict) -> tuple:
+        """The field values in ``__slots__`` order, from positional and
+        keyword arguments."""
+        names = self.__slots__
+        what = f"{type(self).__name__}()"
+        if len(args) > len(names):
+            raise TypeError(f"{what} takes {len(names)} fields but {len(args)} were given")
+        for name in fields:
+            if name not in names:
+                raise TypeError(f"{what} has no field {name!r}")
+            if names.index(name) < len(args):
+                raise TypeError(f"{what} got field {name!r} twice")
+        try:
+            return args + tuple(map(fields.__getitem__, names[len(args):]))
+        except KeyError as exc:
+            raise TypeError(f"{what} missing field {exc.args[0]!r}") from None
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -26,8 +57,7 @@ class Frozen:
         return dict(zip(self.__slots__, self._fields()))
 
     def __setstate__(self, state):
-        for name, value in state.items():
-            object.__setattr__(self, name, value)
+        Frozen.__init__(self, **state)
 
 
 class Value(Frozen):

@@ -25,7 +25,7 @@ from .errors import (
     _shown,
 )
 from .semigroups import _letter_bounds
-from .words import Word, is_kunz, witness_kunz, witness_nonkunz
+from .words import Word, _check_length, is_kunz, witness_kunz, witness_nonkunz
 
 DEFAULT_CANDIDATE_CEILING = 10_000_000
 # Largest nerode_evidence run, in letter pairs: comb(cutoff, 2)
@@ -59,11 +59,7 @@ class Dfa(Frozen):
                     raise DomainError(
                         f"transition not total at ({state}, {letter})"
                     )
-        object.__setattr__(self, "states", states)
-        object.__setattr__(self, "alphabet", alphabet)
-        object.__setattr__(self, "transition", transition)
-        object.__setattr__(self, "start", start)
-        object.__setattr__(self, "accepting", accepting)
+        super().__init__(states, alphabet, transition, start, accepting)
 
 
 def dfa_k1() -> Dfa:
@@ -209,13 +205,6 @@ class NerodeSeparation(Frozen):
 
     __slots__ = ("i", "j", "suffix", "member_i", "member_j")
 
-    def __init__(self, i: int, j: int, suffix: Word, member_i: bool, member_j: bool):
-        object.__setattr__(self, "i", i)
-        object.__setattr__(self, "j", j)
-        object.__setattr__(self, "suffix", suffix)
-        object.__setattr__(self, "member_i", member_i)
-        object.__setattr__(self, "member_j", member_j)
-
     def to_json_dict(self) -> dict:
         return {
             "i": self.i,
@@ -228,12 +217,6 @@ class NerodeSeparation(Frozen):
 
 class NerodeReport(Frozen):
     __slots__ = ("depth", "cutoff", "separations")
-
-    def __init__(self, depth: int, cutoff: int,
-                 separations: tuple[NerodeSeparation, ...]):
-        object.__setattr__(self, "depth", depth)
-        object.__setattr__(self, "cutoff", cutoff)
-        object.__setattr__(self, "separations", separations)
 
     def to_json_list(self) -> list[dict]:
         return [s.to_json_dict() for s in self.separations]
@@ -271,10 +254,7 @@ def nerode_evidence(q: int, cutoff: int) -> NerodeReport:
                 raise SelfCheckFailed(
                     f"separation for ({i}, {j}) failed re-verification"
                 )
-            separations.append(
-                NerodeSeparation(i=i, j=j, suffix=suffix,
-                                 member_i=member_i, member_j=member_j)
-            )
+            separations.append(NerodeSeparation(i, j, suffix, member_i, member_j))
     return NerodeReport(depth=q, cutoff=cutoff, separations=tuple(separations))
 
 
@@ -293,7 +273,7 @@ class Decomposition(Frozen):
         c1, c2, c3, c4 = cuts
         if not (0 <= c1 <= c2 <= c3 <= c4):
             raise InvalidDecomposition(f"cuts {cuts} are not ascending")
-        object.__setattr__(self, "cuts", cuts)
+        super().__init__(cuts)
 
     def parts(self, word: Word) -> tuple[Word, Word, Word, Word, Word]:
         c1, c2, c3, c4 = self.cuts
@@ -322,14 +302,17 @@ class PositionMarking(Frozen):
         for pos in distinguished | excluded:
             if pos < 1:
                 raise DomainError("positions are 1-based")
-        object.__setattr__(self, "distinguished", distinguished)
-        object.__setattr__(self, "excluded", excluded)
+        super().__init__(distinguished, excluded)
 
 
 def pump(word: Word, decomposition: Decomposition, k: int) -> Word:
-    """u v^k x y^k z.  k = 1 reproduces the word itself."""
+    """u v^k x y^k z.  k = 1 reproduces the word itself.  ResourceBound,
+    before anything is built, when that word is longer than
+    words.MAX_WITNESS_LENGTH."""
     if k < 0:
         raise DomainError("pumping count must be >= 0")
+    c1, c2, c3, c4 = decomposition.cuts
+    _check_length(len(word) + (k - 1) * (c2 - c1 + c4 - c3), "a pumped word")
     u, v, x, y, z = decomposition.parts(word)
     return Word(u.letters + v.letters * k + x.letters + y.letters * k + z.letters)
 
@@ -341,18 +324,6 @@ class RefutationRecord(Frozen):
 
     __slots__ = ("decomposition", "d_vy", "e_vy", "d_vxy", "e_vxy",
                  "k", "pumped", "reason")
-
-    def __init__(self, decomposition: Decomposition, d_vy: int, e_vy: int,
-                 d_vxy: int, e_vxy: int, k: int | None, pumped: Word | None,
-                 reason: str | None):
-        object.__setattr__(self, "decomposition", decomposition)
-        object.__setattr__(self, "d_vy", d_vy)
-        object.__setattr__(self, "e_vy", e_vy)
-        object.__setattr__(self, "d_vxy", d_vxy)
-        object.__setattr__(self, "e_vxy", e_vxy)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "pumped", pumped)
-        object.__setattr__(self, "reason", reason)
 
     def to_json_dict(self) -> dict:
         return {
@@ -369,15 +340,6 @@ class RefutationRecord(Frozen):
 
 class RefutationReport(Frozen):
     __slots__ = ("depth", "p", "k_max", "word", "marking", "records")
-
-    def __init__(self, depth: int, p: int, k_max: int, word: Word,
-                 marking: PositionMarking, records: tuple[RefutationRecord, ...]):
-        object.__setattr__(self, "depth", depth)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "k_max", k_max)
-        object.__setattr__(self, "word", word)
-        object.__setattr__(self, "marking", marking)
-        object.__setattr__(self, "records", records)
 
     @property
     def unrefuted(self) -> tuple[RefutationRecord, ...]:

@@ -81,15 +81,6 @@ class Rule(Frozen):
 
     __slots__ = ("when", "marker", "write", "move", "goto")
 
-    def __init__(self, when: tuple[tuple[int, frozenset[str]], ...],
-                 marker: str | None, write: tuple[tuple[int, str], ...],
-                 move: int, goto: str):
-        object.__setattr__(self, "when", when)
-        object.__setattr__(self, "marker", marker)
-        object.__setattr__(self, "write", write)
-        object.__setattr__(self, "move", move)
-        object.__setattr__(self, "goto", goto)
-
 
 class MachineBuilder:
     """Collects states and rules, then compiles them into a machine."""
@@ -157,13 +148,7 @@ class MachineBuilder:
                 raise DomainError(f"track {track + 1} has no symbol {symbol!r}")
             norm_write.append((track, symbol))
         self._rules.setdefault(state, []).append(
-            Rule(
-                when=tuple(norm_when),
-                marker=marker,
-                write=tuple(norm_write),
-                move=move,
-                goto=goto,
-            )
+            Rule(tuple(norm_when), marker, tuple(norm_write), move, goto)
         )
 
     def compile(self) -> "CompiledMachine":
@@ -218,18 +203,9 @@ class CompiledMachine(Frozen):
         blanks = (BLANK,) * (builder.track_count - 1)
         letter_cell = {letter: cell_ids[(str(letter), *blanks)]
                        for letter in builder.input_alphabet}
-
-        object.__setattr__(self, "name", builder.name)
-        object.__setattr__(self, "track_count", builder.track_count)
-        object.__setattr__(self, "bound_factor", builder.bound_factor)
-        object.__setattr__(self, "start_id", start_id)
-        object.__setattr__(self, "state_names", state_names)
-        object.__setattr__(self, "cells", cells)
-        object.__setattr__(self, "cell_ids", cell_ids)
-        object.__setattr__(self, "letter_cell", letter_cell)
-        object.__setattr__(self, "rules", rules)
-        object.__setattr__(self, "table", [{} for _ in state_names])
-        object.__setattr__(self, "sweeps", {})
+        super().__init__(builder.name, builder.track_count, builder.bound_factor,
+                         start_id, state_names, cells, cell_ids, letter_cell,
+                         rules, [{} for _ in state_names], {})
 
     def resolve(self, state: int, cell: int) -> tuple[int, int, int]:
         """The entry for (state, cell): the first of the state's rules that
@@ -270,12 +246,6 @@ class TraceEntry(Value):
 
     __slots__ = ("step", "head", "macro", "tracks")
 
-    def __init__(self, step: int, head: int, macro: str, tracks: tuple[str, ...]):
-        object.__setattr__(self, "step", step)
-        object.__setattr__(self, "head", head)
-        object.__setattr__(self, "macro", macro)
-        object.__setattr__(self, "tracks", tracks)
-
 
 class RunResult(Value):
     __slots__ = ("verdict", "steps", "cells_used", "bound", "trace",
@@ -284,12 +254,8 @@ class RunResult(Value):
     def __init__(self, verdict: str, steps: int, cells_used: int, bound: int,
                  trace: tuple[TraceEntry, ...] | None = None,
                  trace_truncated: bool = False):
-        object.__setattr__(self, "verdict", verdict)  # "accept" | "reject"
-        object.__setattr__(self, "steps", steps)
-        object.__setattr__(self, "cells_used", cells_used)
-        object.__setattr__(self, "bound", bound)
-        object.__setattr__(self, "trace", trace)
-        object.__setattr__(self, "trace_truncated", trace_truncated)
+        # verdict is "accept" or "reject"
+        super().__init__(verdict, steps, cells_used, bound, trace, trace_truncated)
 
     @property
     def accepted(self) -> bool:
@@ -378,14 +344,8 @@ def run(
         cell = tape[pos]
         if trace is not None:
             if len(trace) < TRACE_LIMIT:
-                trace.append(
-                    TraceEntry(
-                        step=steps,
-                        head=pos,
-                        macro=machine.state_names[state],
-                        tracks=_render_tracks(glyphs, tape),
-                    )
-                )
+                trace.append(TraceEntry(steps, pos, machine.state_names[state],
+                                        _render_tracks(glyphs, tape)))
             else:
                 truncated = True
         try:
@@ -428,14 +388,8 @@ def run(
             f"{machine.name} used {cells_used} cells on length {len(word)}, "
             f"over its advertised bound {bound}"
         )
-    return RunResult(
-        verdict=verdict,
-        steps=steps,
-        cells_used=cells_used,
-        bound=bound,
-        trace=None if trace is None else tuple(trace),
-        trace_truncated=truncated,
-    )
+    return RunResult(verdict, steps, cells_used, bound,
+                     None if trace is None else tuple(trace), truncated)
 
 
 def format_trace(result: RunResult) -> list[str]:

@@ -45,10 +45,6 @@ class AperyData(Value):
 
     __slots__ = ("values", "kunz")
 
-    def __init__(self, values: tuple[int, ...], kunz: tuple[int, ...]):
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "kunz", kunz)
-
 
 def _apery_values(members: Iterable[int], top: int, m: int) -> tuple[int, ...]:
     """Least element per residue mod m of the semigroup that holds
@@ -144,7 +140,7 @@ class NumericalSemigroup(Value):
             raise DomainError("conductor must be the last small element")
         w = _apery_values(small, conductor + 1, small[1] if conductor else 1)
         _check_apery(w)
-        object.__setattr__(self, "_w", w)
+        super().__init__(w)
         # not self.small_elements: this input is O(c) already, so no ceiling
         if tuple(filter(self.contains, range(self.conductor + 1))) != small:
             raise DomainError(
@@ -214,7 +210,7 @@ class NumericalSemigroup(Value):
         coefficients read off from it."""
         w = self._w
         m = len(w)
-        return AperyData(values=w, kunz=tuple((w[i] - i) // m for i in range(1, m)))
+        return AperyData(w, tuple((w[i] - i) // m for i in range(1, m)))
 
     def to_json_dict(self) -> dict:
         """Wire form; field order is part of the interface."""

@@ -88,12 +88,6 @@ class Violation(Value):
 
     __slots__ = ("kind", "i", "j", "target")
 
-    def __init__(self, kind: str, i: int, j: int, target: int):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "i", i)
-        object.__setattr__(self, "j", j)
-        object.__setattr__(self, "target", target)
-
     def to_json_dict(self) -> dict:
         return {"kind": self.kind, "i": self.i, "j": self.j, "target": self.target}
 

@@ -23,7 +23,9 @@ from kunzlab import (
     pump,
     witness_kunz,
 )
+from kunzlab import languages
 from kunzlab.languages import MAX_NERODE_PAIRS
+from kunzlab.words import MAX_WITNESS_LENGTH
 from conftest import all_words, naive_census
 
 
@@ -188,6 +190,35 @@ def test_pump_examples():
     assert pump(w, d, 2) == Word((1, 1, 2, 2, 3))
     d = Decomposition(cuts=(0, 1, 2, 2))  # v = (1), y empty
     assert pump(w, d, 3) == Word((1, 1, 1, 2, 3))
+
+
+def test_pump_refuses_a_word_over_the_length_ceiling(monkeypatch):
+    w = Word((1, 2, 3))
+    d = Decomposition(cuts=(0, 1, 1, 1))  # v = (1), y empty
+    assert len(pump(w, d, 4094)) == 4096 == MAX_WITNESS_LENGTH
+    with pytest.raises(ResourceBound,
+                       match="a pumped word of length 4097 is over the ceiling 4096"):
+        pump(w, d, 4095)
+
+    def build(*args):
+        raise AssertionError("pump built a word")
+
+    monkeypatch.setattr(languages, "Word", build)
+    with pytest.raises(ResourceBound, match="length 1000000000002 is over"):
+        pump(w, d, 10**12)
+    monkeypatch.undo()
+
+    # the refutations pump to a dozen letters: their reports are as before
+    for q, records, longest, first in [(5, 14, 11, "1,1,1,2,2,3,3,4,4,5"),
+                                       (6, 17, 13, "1,1,1,2,2,3,3,4,4,5,5,6")]:
+        report = bader_moura_refute(q, 1, 4)
+        assert len(report.records) == records
+        assert {(r.k, r.reason) for r in report.records} == {(2, "not_kunz")}
+        assert max(len(r.pumped) for r in report.records) == longest
+        assert report.to_json_list()[0] == {
+            "cuts": [0, 0, 0, 1], "d_vy": 1, "e_vy": 0, "d_vxy": 1, "e_vxy": 0,
+            "k": 2, "pumped": first, "reason": "not_kunz",
+        }
 
 
 def test_pump_length_identity():

@@ -21,10 +21,14 @@ from kunzlab import (
     RefutationReport,
     Violation,
     Word,
+    bader_moura_refute,
     dfa_k2,
     from_generators,
+    nerode_evidence,
+    violations,
+    witness_kunz,
 )
-from kunzlab.lba import MachineBuilder, RunResult, TraceEntry
+from kunzlab.lba import MachineBuilder, RunResult, TraceEntry, build_k3_machine, run
 from kunzlab.lba.simulator import Rule
 
 EXPORTED = {
@@ -181,3 +185,54 @@ def test_fields_cannot_be_assigned(obj, field):
     with pytest.raises(AttributeError):
         delattr(obj, field)
     assert getattr(obj, field) is before
+
+
+def _originals():
+    """One library-built instance of each class whose constructor takes
+    its own fields, with the number of trailing fields that have a
+    default."""
+    refutation = bader_moura_refute(5, 1, 2)
+    record = refutation.records[0]
+    nerode = nerode_evidence(3, 2)
+    machine = build_k3_machine()
+    traced = run(machine, Word((1, 1, 2, 3)), want_trace=True)
+    originals = [
+        (witness_kunz(3, 2), 1),
+        (violations(Word((1, 3)))[0], 0),
+        (from_generators([3, 5]).apery, 0),
+        (dfa_k2(), 0),
+        (nerode.separations[0], 0),
+        (nerode, 0),
+        (record.decomposition, 0),
+        (refutation.marking, 0),
+        (record, 0),
+        (refutation, 0),
+        (machine.rules[0][0][0], 0),
+        (traced.trace[0], 0),
+        (traced, 2),
+    ]
+    return [pytest.param(obj, defaults, id=type(obj).__name__)
+            for obj, defaults in originals]
+
+
+@pytest.mark.parametrize("original,defaults", _originals())
+def test_constructor_binds_fields_by_position_and_by_name(original, defaults):
+    cls = type(original)
+    names = cls.__slots__
+    fields = tuple(getattr(original, name) for name in names)
+    by_name = dict(zip(names, fields))
+    for made in (cls(*fields), cls(**by_name)):
+        assert type(made) is cls
+        assert tuple(getattr(made, name) for name in names) == fields
+    required = len(names) - defaults
+    if required:
+        with pytest.raises(TypeError):
+            cls(*fields[:required - 1])
+        with pytest.raises(TypeError):
+            cls(**{name: by_name[name] for name in names[1:]})
+    with pytest.raises(TypeError):
+        cls(*fields, fields[0])
+    with pytest.raises(TypeError):
+        cls(*fields, no_such_field=None)
+    with pytest.raises(TypeError):
+        cls(*fields, **{names[0]: fields[0]})
