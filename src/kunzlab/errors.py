@@ -52,8 +52,10 @@ class StepBudgetExceeded(KunzlabError):
 
 
 class MachineDefinitionError(KunzlabError):
-    """A run reached a (state, cell) pair with no transition.  Always a
-    bug in the machine program, never a property of the input."""
+    """A machine program is broken: compiling it found an undefined start
+    state or a rule jumping to an unknown state, or a run reached a
+    (state, cell) pair with no transition.  Always a bug in the machine
+    program, never a property of the input."""
 
 
 class SelfCheckFailed(KunzlabError):

@@ -87,7 +87,6 @@ def build_kn_machine(n: int) -> CompiledMachine:
         f"k{n}",
         track_symbols=[letters, (BLANK,) + symbols, (BLANK, ORIGIN)],
         input_alphabet=range(1, n + 1),
-        bound_factor=4,  # 3(l+1) cells <= 4 max(l, 10)
         start="step1.mark",
     )
 

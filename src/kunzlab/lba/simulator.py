@@ -29,12 +29,11 @@ Cell accounting convention: cells_used reported by a run is
     track_count * (number of distinct head positions visited),
 
 end markers included when the head actually stood on them.  The head
-starts on the first input letter and the machines in this package detect
-the left edge through an origin mark on a scratch track, so the left
-marker is never visited and a machine with t tracks uses t*(l+1) cells
-on an input of length l.  Bounds are only asserted for l >= 10: below
-that, fixed overheads dominate and the advertised per-letter budget is
-measured against max(l, 10).
+never leaves the tape, so a run's bound is the whole tape,
+track_count * (l + 2) cells on an input of length l.  The head starts
+on the first input letter and the machines in this package detect the
+left edge through an origin mark on a scratch track, so the left marker
+is never visited and a machine with t tracks uses t*(l+1) cells.
 """
 
 from __future__ import annotations
@@ -91,7 +90,6 @@ class MachineBuilder:
         *,
         track_symbols: Sequence[Iterable[str]],
         input_alphabet: Iterable[int],
-        bound_factor: int,
         start: str,
     ):
         self.name = name
@@ -108,7 +106,6 @@ class MachineBuilder:
         for idx, syms in enumerate(self.track_symbols[1:], start=2):
             if BLANK not in syms:
                 raise DomainError(f"scratch track {idx} must allow blanks")
-        self.bound_factor = bound_factor
         self.start = start
         self._rules: dict[str, list[Rule]] = {}
 
@@ -177,9 +174,8 @@ class CompiledMachine(Frozen):
     never join it.
     """
 
-    __slots__ = ("name", "track_count", "bound_factor", "start_id",
-                 "state_names", "cells", "cell_ids", "letter_cell", "rules",
-                 "table", "sweeps")
+    __slots__ = ("name", "track_count", "start_id", "state_names", "cells",
+                 "cell_ids", "letter_cell", "rules", "table", "sweeps")
 
     def __init__(self, builder: MachineBuilder):
         state_names = tuple(builder._rules)
@@ -203,9 +199,9 @@ class CompiledMachine(Frozen):
         blanks = (BLANK,) * (builder.track_count - 1)
         letter_cell = {letter: cell_ids[(str(letter), *blanks)]
                        for letter in builder.input_alphabet}
-        super().__init__(builder.name, builder.track_count, builder.bound_factor,
-                         start_id, state_names, cells, cell_ids, letter_cell,
-                         rules, [{} for _ in state_names], {})
+        super().__init__(builder.name, builder.track_count, start_id,
+                         state_names, cells, cell_ids, letter_cell, rules,
+                         [{} for _ in state_names], {})
 
     def resolve(self, state: int, cell: int) -> tuple[int, int, int]:
         """The entry for (state, cell): the first of the state's rules that
@@ -301,14 +297,14 @@ def run(
 ) -> RunResult:
     """Deterministic simulation of ``machine`` on ``word``.
 
-    Halts with a verdict, the step count, and the cells_used total under
-    the accounting convention in the module docstring.  Without a trace,
-    a step that passes a cell (writes nothing, moves, keeps its state)
-    is followed by the whole stretch of cells in that state's sweep set
-    in one inner loop; each cell still counts as one step, so steps,
-    cells_used and the budget trip are those of single steps.  With
-    ``want_trace`` the first TRACE_LIMIT steps are taken and recorded
-    singly, and the rest sweep as without a trace.  Raises
+    Halts with a verdict, the step count, and the cells_used total and
+    bound under the accounting convention in the module docstring.
+    Without a trace, a step that passes a cell (writes nothing, moves,
+    keeps its state) is followed by the whole stretch of cells in that
+    state's sweep set in one inner loop; each cell still counts as one
+    step, so steps, cells_used and the budget trip are those of single
+    steps.  With ``want_trace`` the first TRACE_LIMIT steps are taken and
+    recorded singly, and the rest sweep as without a trace.  Raises
     StepBudgetExceeded if no verdict is reached within ``max_steps``
     (build_kn_machine(n) takes at most (2l+1)(l+1) steps, and l+1 on a
     word over {ceil(n/2)..n}, so words from length 707 on can pass the
@@ -336,18 +332,15 @@ def run(
     steps = 0
     table = machine.table
     sweeps = machine.sweeps
-    trace: list[TraceEntry] | None = [] if want_trace else None
+    trace: list[TraceEntry] = []
+    limit = TRACE_LIMIT if want_trace else 0
     glyphs = _glyphs(machine) if want_trace else ()
-    truncated = False
 
     while True:
         cell = tape[pos]
-        if trace is not None:
-            if len(trace) < TRACE_LIMIT:
-                trace.append(TraceEntry(steps, pos, machine.state_names[state],
-                                        _render_tracks(glyphs, tape)))
-            else:
-                truncated = True
+        if steps < limit:
+            trace.append(TraceEntry(steps, pos, machine.state_names[state],
+                                    _render_tracks(glyphs, tape)))
         try:
             new_cell, move, nxt = table[state][cell]
         except KeyError:
@@ -360,8 +353,7 @@ def run(
         if pos < 0 or pos >= end:
             verdict = REJECT  # moving past an end marker rejects
             break
-        if (nxt == state and new_cell == cell and move
-                and (trace is None or truncated)):
+        if nxt == state and new_cell == cell and move and steps > limit:
             # a pass, with no trace entry to record: take the rest of the
             # stretch at once; it never halts, and a marker cell, in no
             # sweep set, ends it inside the tape
@@ -381,15 +373,11 @@ def run(
             break
         state = nxt
 
-    cells_used = machine.track_count * (max_pos - min_pos + 1)
-    bound = machine.bound_factor * max(len(word), 10)
-    if cells_used > bound:
-        raise MachineDefinitionError(
-            f"{machine.name} used {cells_used} cells on length {len(word)}, "
-            f"over its advertised bound {bound}"
-        )
-    return RunResult(verdict, steps, cells_used, bound,
-                     None if trace is None else tuple(trace), truncated)
+    return RunResult(verdict, steps,
+                     machine.track_count * (max_pos - min_pos + 1),
+                     machine.track_count * end,
+                     tuple(trace) if want_trace else None,
+                     want_trace and steps > limit)
 
 
 def format_trace(result: RunResult) -> list[str]:

@@ -258,10 +258,13 @@ def from_generators(gens: Iterable[int]) -> NumericalSemigroup:
     from the shortest paths below and is stored unchecked.
 
     Raises NotCofinite when gcd(gens) != 1 (the complement would be
-    infinite), DomainError on an empty or nonpositive generator set, and
-    ResourceBound, before the shortest paths, when the multiplicity
-    exceeds MAX_CONDUCTOR; any conductor is built, in O(m) memory.
+    infinite), DomainError on an empty, nonpositive or non-integer
+    generator set, and ResourceBound, before the shortest paths, when the
+    multiplicity exceeds MAX_CONDUCTOR; any conductor is built, in O(m)
+    memory.
     """
+    gens = tuple(gens)
+    _require_ints(gens, "generators")
     gen_list = sorted(set(gens))
     if not gen_list:
         raise DomainError("need at least one generator")

@@ -35,8 +35,9 @@ MAX_WITNESS_LENGTH = 4096
 
 
 class Word(Value):
-    """Finite sequence of positive integers; may be empty.  The letters
-    are stored as a tuple, copied from any other iterable."""
+    """Finite sequence of positive integers, of type int and not bool;
+    may be empty.  The letters are stored as a tuple, copied from any
+    other iterable."""
 
     __slots__ = ("letters",)
 
@@ -44,7 +45,8 @@ class Word(Value):
         if type(letters) is not tuple:
             letters = tuple(letters)
         for u in letters:
-            if not isinstance(u, int) or u < 1:
+            # exactly int: True == 1, but prints as "True", off the wire form
+            if type(u) is not int or u < 1:
                 raise DomainError(f"letters must be positive integers, got {u!r}")
         object.__setattr__(self, "letters", letters)
 

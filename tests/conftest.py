@@ -125,7 +125,8 @@ def naive_run(machine, word, max_steps=10**7):
     """The JSON fields of a run of ``machine`` on ``word``, one step at a
     time: each step reads its (state, cell) entry from the table or
     resolves it, with no sweeps.  Moving past an end marker rejects; the
-    cells used are the tracks times the head positions visited."""
+    cells used are the tracks times the head positions visited, and the
+    bound is the tracks times the whole tape."""
     tape = [0] + [machine.letter_cell[letter] for letter in word] + [1]
     pos = lowest = highest = 1
     state = machine.start_id
@@ -149,7 +150,7 @@ def naive_run(machine, word, max_steps=10**7):
         "verdict": verdict,
         "steps": steps,
         "cells_used": machine.track_count * (highest - lowest + 1),
-        "bound": machine.bound_factor * max(len(word), 10),
+        "bound": machine.track_count * len(tape),
     }
 
 

@@ -165,7 +165,7 @@ def test_lba_long_depth6_witness_fits_the_default_budget(capsys):
     code, out, _ = run_cli(capsys, "lba", "--depth", "6", "--word", word)
     assert code == 0
     assert json.loads(out) == {"verdict": "accept", "steps": 29_646,
-                               "cells_used": 3 * 122, "bound": 4 * 121}
+                               "cells_used": 3 * 122, "bound": 3 * 123}
 
 
 def test_lba_long_depth3_witness_fits_the_default_budget(capsys):
@@ -175,7 +175,7 @@ def test_lba_long_depth3_witness_fits_the_default_budget(capsys):
     code, out, _ = run_cli(capsys, "lba", "--depth", "3", "--word", word)
     assert code == 0
     assert out == ('{"verdict": "accept", "steps": 51040, "cells_used": 480, '
-                   '"bound": 636}\n')
+                   '"bound": 483}\n')
 
 
 def test_lba_over_budget_message_shows_the_length(capsys):

@@ -501,7 +501,7 @@ def test_long_core_word_fits_the_default_budget():
     word = Word((3, 4, 5, 6) * 250)
     result = run(build_kn_machine(6), word)
     assert (result.verdict, result.steps) == (ACCEPT, 1_001)
-    assert (result.cells_used, result.bound) == (3 * 1_001, 4 * 1_000)
+    assert (result.cells_used, result.bound) == (3 * 1_001, 3 * 1_002)
 
 
 def _ramp(depth, length):

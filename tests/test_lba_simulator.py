@@ -28,7 +28,6 @@ def two_track_builder(**kwargs):
         "toy",
         track_symbols=[("1", "2", "3"), (BLANK, "1", "c")],
         input_alphabet=(1, 2, 3),
-        bound_factor=kwargs.pop("bound_factor", 20),
         start=kwargs.pop("start", "go"),
     )
 
@@ -56,10 +55,7 @@ def test_steps_and_cells_accounting():
     assert result.cells_used == 2 * 3
     result = run(m, Word((1, 1, 1)))
     assert result.cells_used == 2 * 4  # right marker visited too
-    assert result.bound == 20 * 10
-    # six positions on two tracks are over a bound of 1 * max(5, 10)
-    with pytest.raises(MachineDefinitionError, match="over its advertised bound 10"):
-        run(contains_two_machine(bound_factor=1), Word((1,) * 5))
+    assert result.bound == 2 * 5  # the whole tape, markers included
 
 
 def test_letter_out_of_alphabet():
@@ -170,7 +166,7 @@ def test_builder_validation():
     ]:
         with pytest.raises(DomainError, match=message):
             MachineBuilder("toy", track_symbols=tracks, input_alphabet=alphabet,
-                           bound_factor=1, start="go")
+                           start="go")
 
 
 def test_compile_checks_shadowed_goto():

@@ -151,7 +151,7 @@ def test_reprs():
 
 def _instances():
     builder = MachineBuilder("toy", track_symbols=[("1", "_")], input_alphabet=[1],
-                             bound_factor=1, start="go")
+                             start="go")
     builder.add("go", goto="accept")
     marking = PositionMarking(frozenset({1}), frozenset({2}))
     decomposition = Decomposition((0, 1, 1, 2))

@@ -50,6 +50,10 @@ def test_from_generators_rejects_bad_input():
         from_generators(set())
     with pytest.raises(DomainError):
         from_generators({0, 3})
+    # refused before sorted or math.gcd can end in a TypeError
+    for gens in [[3, 5.0], ["3"], [3, "5"]]:
+        with pytest.raises(DomainError, match="generators must hold integers"):
+            from_generators(gens)
 
 
 ORACLE_GENERATOR_SETS = [{2, 3}, {4, 9, 11}, {6, 10, 15}, {5, 7},

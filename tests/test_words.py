@@ -36,6 +36,9 @@ def test_word_validation():
         Word((1, 0, 2))
     with pytest.raises(DomainError):
         Word.parse("1,x,2")
+    # True == 1 and hashes alike, but its str "True" would not parse back
+    with pytest.raises(DomainError):
+        Word((True, 2))
 
 
 @pytest.mark.parametrize(
