@@ -28,10 +28,12 @@ class InvalidDecomposition(DomainError):
 
 
 def _shown(n: int) -> str:
-    """A size for a ceiling message: in decimal below 2^64, else as that
-    bound.  Python refuses to print an int of over 4,300 digits, and a
-    size past 2^64 is over every default ceiling anyway."""
-    return str(n) if n < 2**64 else "2^64 or more"
+    """A size for a ceiling message: in decimal below 2^64 in magnitude,
+    else as that bound.  Python refuses to print an int of over 4,300
+    digits, and a size past 2^64 is over every default ceiling anyway."""
+    if n >= 2**64:
+        return "2^64 or more"
+    return str(n) if n > -2**64 else "-2^64 or less"
 
 
 class ResourceBound(KunzlabError):

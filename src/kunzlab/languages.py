@@ -100,11 +100,15 @@ def in_kunz_language(word: Word, q: int) -> bool:
 
 def _check_census(q: int, length: int, max_candidates: int) -> None:
     """Argument and ceiling checks shared by the two census functions.
-    The walk meets at most q**length candidates, and even the one word
-    of depth 1 costs it O(length**2) interval work, so either count over
-    max_candidates refuses the cell."""
+    The census covers at most q**length candidate words, and even the
+    one word of depth 1 costs the walk O(length**2) interval work, so
+    either count over max_candidates refuses the cell.  A ceiling below 1
+    is refused before any cell is looked at."""
     if q < 0 or length < 0:
         raise DomainError("depth and length must be nonnegative")
+    if max_candidates < 1:
+        raise DomainError(
+            f"the candidate ceiling must be at least 1, got {_shown(max_candidates)}")
     if not q:  # K_0 is the empty word alone, so its cells are never refused
         return
     # q**length >= 2**length for q >= 2, so capping the exponent past both
@@ -122,26 +126,68 @@ def _check_census(q: int, length: int, max_candidates: int) -> None:
         )
 
 
-def _last_letters(q: int, length: int) -> Iterator[tuple[list[int], int, int]]:
-    """Depth-first walk over the prefixes u_1 .. u_{l-1} (l = length >= 1)
-    whose every letter lies in its _letter_bounds interval, in
-    lexicographic order.  For each one yields (u, lo, hi): u holds the
-    prefix in u[:-1], and the K_q words it extends to are those ending
-    in lo .. hi (none when lo > hi).  u is reused between yields.
+def _last_letters(q: int, length: int) -> Iterator[tuple[list[int], int, list[range]]]:
+    """Depth-first walk over the prefixes u_1 .. u_s of the K_q words of
+    the given length l >= 2, s = l - 2 (s = 1 at l = 2), whose every
+    letter lies in its _letter_bounds interval, in lexicographic order.
+    For each one yields (u, x_lo, ys): the words through the prefix are
+    u[:l-2] + (x_lo + i, y) for each y in ys[i], in lexicographic order.
+    u is reused between yields.
+
+    From l = 3 on the walk stops two letters short.  One _letter_bounds
+    call gives the interval of u_{l-1}, and only three terms of the last
+    letter's interval involve u_{l-1} = x, so one O(l) pass per prefix
+    leaves each x an O(1) interval:
+
+        hi(x) = min(H, u_1 + x),  H = min(q, u_i + u_{l-i} : 2 <= i <= l/2)
+        lo(x) = max(L, x // 2, u_{l-2} - x - 1),
+                                  L = max(1, u_k - u_{k+1} - 1 : k <= l-3)
+
+    and when neither the prefix nor x holds a q, the word ends in q.  At
+    l = 2 the prefix is u_1 and the last interval is _letter_bounds'.
     """
     u = [0] * length
     tops = [0] * length
     first_q = length  # position of the first q in the prefix; length if none
+    stop = max(length - 2, 1)
+    half = length // 2
     p = 0  # letters placed
     while True:
-        if p == length - 1:
-            lo, hi = _letter_bounds(u, length, length, q)
-            # hi <= q, and a prefix without a q can only end in q
-            yield u, (lo if first_q < length else q), hi
-        else:
+        if p < stop:
             lo, tops[p] = _letter_bounds(u, p + 1, length, q)
             u[p] = lo - 1
             p += 1
+        elif length == 2:
+            lo, hi = _letter_bounds(u, 2, 2, q)
+            # hi <= q, and a prefix without a q can only end in q
+            yield u, u[0], [range(lo if first_q < length else q, hi + 1)]
+        else:
+            x_lo, x_hi = _letter_bounds(u, length - 1, length, q)
+            top = q  # H: the pairs u_i + u_{l-i}, 2 <= i <= l/2
+            for i in range(1, half):
+                s = u[i] + u[p - i]
+                if s < top:
+                    top = s
+            floor = 1  # L: the drops u_k - u_{k+1} - 1, k <= l-3
+            for k in range(1, p):
+                d = u[k - 1] - u[k] - 1
+                if d > floor:
+                    floor = d
+            # a word whose prefix and u_{l-1} hold no q ends in q
+            last_floor = floor if first_q < length else q
+            first, before = u[0], u[p - 1] - 1
+            ys = []
+            for x in range(x_lo, x_hi + 1):
+                lo = last_floor if x < q else floor
+                if x >> 1 > lo:
+                    lo = x >> 1
+                if before - x > lo:
+                    lo = before - x
+                hi = first + x
+                if hi > top:
+                    hi = top
+                ys.append(range(lo, hi + 1))
+            yield u, x_lo, ys
         # next letter at the deepest position that has one left
         while p:
             x = u[p - 1] + 1
@@ -169,26 +215,31 @@ def enumerate_kunz(
     length being fixed, places each letter only inside the interval the
     Kunz conditions decided at its position leave open (see
     semigroups._letter_bounds), so every dead prefix is cut as soon as it
-    is placed.  The ceiling applies to all q**length candidates and to
-    the length**2 interval work (see _check_census).
+    is placed.  It stops two letters short and lists the last two from
+    one set of bounds per prefix (see _last_letters).  The ceiling
+    applies to all q**length candidates and to the length**2 interval
+    work (see _check_census).
     """
     _check_census(q, length, max_candidates)
-    if q == 0 or length == 0:
-        return [Word(())] if q == length == 0 else []
+    if q == 0 or length < 2:
+        # K_0 is the empty word alone, and K_q's one word of length 1 is q
+        return [Word((q,) * length)] if (q == 0) == (length == 0) else []
     out = []
-    for u, lo, hi in _last_letters(q, length):
-        head = tuple(u[:-1])
-        out.extend(Word(head + (x,)) for x in range(lo, hi + 1))
+    for u, x_lo, ys in _last_letters(q, length):
+        head = tuple(u[:length - 2])
+        for x, last in enumerate(ys, x_lo):
+            stem = head + (x,)
+            out.extend(Word(stem + (y,)) for y in last)
     return out
 
 
 def count_kunz(q: int, length: int, *, max_candidates: int = DEFAULT_CANDIDATE_CEILING) -> int:
     """len(enumerate_kunz(q, length)), by the same walk but building no
-    words: each last interval adds its size."""
+    words: each prefix adds the sizes of its last intervals."""
     _check_census(q, length, max_candidates)
-    if q == 0 or length == 0:
-        return int(q == length == 0)
-    return sum(max(0, hi - lo + 1) for _, lo, hi in _last_letters(q, length))
+    if q == 0 or length < 2:
+        return int((q == 0) == (length == 0))
+    return sum(sum(map(len, ys)) for _, _, ys in _last_letters(q, length))
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +446,7 @@ def bader_moura_refute(
 
     q = 3 and q = 4 are refused: pumping 2s cannot hurt a word whose
     letters never exceed 4, so this experiment is only meaningful from
-    q = 5 up.
+    q = 5 up.  A ``max_candidates`` below 1 is refused too.
     """
     if q < 5:
         raise DomainError("the pumping experiment needs q >= 5")
@@ -403,6 +454,9 @@ def bader_moura_refute(
         raise DomainError("p must be >= 1")
     if k_max < 0:
         raise DomainError("k_max must be >= 0")
+    if max_candidates < 1:
+        raise DomainError(
+            f"the candidate ceiling must be at least 1, got {_shown(max_candidates)}")
     # p**q >= 2**q for p >= 2, and a block of 2**64 letters is over the
     # length ceiling, so capping the exponent at 64 keeps every verdict
     # and message and never builds p**q for a huge q

@@ -363,12 +363,16 @@ def enumerate_semigroups(
     the search tree exceeds ``search_ceiling`` nodes.  A last row is
     charged its whole subtree before any of it is built, so the node
     count, and the point where it trips, are those of a
-    position-by-position search.
+    position-by-position search.  A ``search_ceiling`` below 1 is a
+    DomainError.
     """
     if max_multiplicity < 1:
         raise DomainError("max_multiplicity must be >= 1")
     if max_depth < 0:
         raise DomainError("max_depth must be >= 0")
+    if search_ceiling < 1:
+        raise DomainError(
+            f"the search ceiling must be at least 1, got {_shown(search_ceiling)}")
     if max_depth < 1:
         return [NATURALS]  # every semigroup with a gap has depth >= 1
     # capping the base at the ceiling + 1 keeps the verdict and never

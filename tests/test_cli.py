@@ -130,6 +130,18 @@ def test_enumerate_ceiling_flag(capsys):
     assert "ceiling" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("enumerate", "--depth", "3", "--length", "3", "--max-candidates", "-5"),
+    ("enumerate", "--depth", "0", "--length", "0", "--count-only",
+     "--max-candidates", "-5"),
+    ("pumping", "--depth", "5", "--p", "1", "--kmax", "4", "--max-candidates", "-5"),
+])
+def test_ceiling_below_one_is_a_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == "error: the candidate ceiling must be at least 1, got -5\n"
+
+
 def test_enumerate_ignores_retired_ceiling_env(capsys, monkeypatch):
     # the ceiling is set by --max-candidates alone; the environment
     # variable that once duplicated it is no longer read

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from kunzlab import (
@@ -104,8 +106,11 @@ def test_count_kunz_depth2_closed_form():
         assert count_kunz(2, length) == 2**length - 1
 
 
+# every cell with q <= 12 and q**length <= 2*10**5, and q = 13..30 at
+# lengths 1-3, where the walk first lists the last two letters
 CENSUS_CELLS = [(q, length) for q in range(1, 13) for length in range(18)
                 if q**length <= 2 * 10**5]
+CENSUS_CELLS += [(q, length) for q in range(13, 31) for length in range(1, 4)]
 
 
 @pytest.mark.parametrize("q,length", CENSUS_CELLS)
@@ -119,11 +124,47 @@ def test_census_matches_naive_oracle(q, length):
     (3, 12, 141_095), (4, 10, 150_052), (5, 9, 207_832), (6, 8, 141_795)])
 def test_count_kunz_large_cells(q, length, count):
     assert count_kunz(q, length) == count
+    words = enumerate_kunz(q, length)
+    assert len(words) == count
+    assert all(a.letters < b.letters for a, b in zip(words, words[1:]))
+    assert all(w.depth == q for w in words)
+
+
+@pytest.mark.parametrize("cell,nodes", [((5, 9), 29_538), ((3, 12), 34_855)])
+def test_census_node_count_is_pinned(monkeypatch, cell, nodes):
+    # one _letter_bounds call per prefix of length up to l-2, and one
+    # walk serves both census functions
+    calls = 0
+    letter_bounds = languages._letter_bounds
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return letter_bounds(*args)
+
+    monkeypatch.setattr(languages, "_letter_bounds", counted)
+    for census in (count_kunz, enumerate_kunz):
+        calls = 0
+        census(*cell)
+        assert calls == nodes
 
 
 def test_enumerate_resource_bound():
     with pytest.raises(ResourceBound):
         enumerate_kunz(3, 4, max_candidates=50)
+
+
+@pytest.mark.parametrize("ceiling,shown", [
+    (0, "0"), (-5, "-5"), (-10**5000, "-2^64 or less")], ids=["0", "-5", "-10**5000"])
+def test_census_refuses_a_ceiling_below_one(ceiling, shown):
+    message = re.escape(f"the candidate ceiling must be at least 1, got {shown}")
+    # refused before the cells that need no walk answer
+    for census in (count_kunz, enumerate_kunz):
+        for q, length in ((3, 3), (0, 0), (5, 0), (0, 2)):
+            with pytest.raises(DomainError, match=f"^{message}$"):
+                census(q, length, max_candidates=ceiling)
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        bader_moura_refute(5, 1, 4, max_candidates=ceiling)
 
 
 def test_depth_one_census_ceiling():

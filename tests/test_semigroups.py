@@ -303,6 +303,11 @@ def test_enumerate_resource_bound():
         enumerate_semigroups(0, 1)
     with pytest.raises(DomainError, match="max_depth"):
         enumerate_semigroups(2, -1)
+    # refused before depth 0 answers N without a search
+    for depth in (0, 4):
+        with pytest.raises(DomainError, match="^the search ceiling must be at"
+                           " least 1, got -1$"):
+            enumerate_semigroups(5, depth, search_ceiling=-1)
 
 
 @pytest.mark.parametrize("cell, nodes", [((7, 4), 11_599), ((10, 4), 431_694)])
