@@ -36,6 +36,12 @@ def _shown(n: int) -> str:
     return str(n) if n > -2**64 else "-2^64 or less"
 
 
+def _check_at_least_one(value: int, what: str) -> None:
+    """DomainError, printing ``value`` with _shown, unless it is >= 1."""
+    if value < 1:
+        raise DomainError(f"{what} must be at least 1, got {_shown(value)}")
+
+
 class ResourceBound(KunzlabError):
     """An enumeration or search would exceed its configured ceiling.
 

@@ -22,6 +22,7 @@ from .errors import (
     NoRefutation,
     ResourceBound,
     SelfCheckFailed,
+    _check_at_least_one,
     _shown,
 )
 from .semigroups import _letter_bounds
@@ -106,9 +107,7 @@ def _check_census(q: int, length: int, max_candidates: int) -> None:
     is refused before any cell is looked at."""
     if q < 0 or length < 0:
         raise DomainError("depth and length must be nonnegative")
-    if max_candidates < 1:
-        raise DomainError(
-            f"the candidate ceiling must be at least 1, got {_shown(max_candidates)}")
+    _check_at_least_one(max_candidates, "the candidate ceiling")
     if not q:  # K_0 is the empty word alone, so its cells are never refused
         return
     # q**length >= 2**length for q >= 2, so capping the exponent past both
@@ -315,8 +314,9 @@ def nerode_evidence(q: int, cutoff: int) -> NerodeReport:
 
 
 class Decomposition(Frozen):
-    """Cut points 0 <= c1 <= c2 <= c3 <= c4 <= l splitting a word into
-    u = w[:c1], v = w[c1:c2], x = w[c2:c3], y = w[c3:c4], z = w[c4:]."""
+    """Cut points 0 <= c1 <= c2 <= c3 <= c4 splitting a word w into
+    u = w[:c1], v = w[c1:c2], x = w[c2:c3], y = w[c3:c4], z = w[c4:];
+    pump refuses cuts past the end of w."""
 
     __slots__ = ("cuts",)
 
@@ -325,21 +325,6 @@ class Decomposition(Frozen):
         if not (0 <= c1 <= c2 <= c3 <= c4):
             raise InvalidDecomposition(f"cuts {cuts} are not ascending")
         super().__init__(cuts)
-
-    def parts(self, word: Word) -> tuple[Word, Word, Word, Word, Word]:
-        c1, c2, c3, c4 = self.cuts
-        if c4 > len(word):
-            raise InvalidDecomposition(
-                f"cuts {self.cuts} overrun a word of length {len(word)}"
-            )
-        letters = word.letters
-        return (
-            Word(letters[:c1]),
-            Word(letters[c1:c2]),
-            Word(letters[c2:c3]),
-            Word(letters[c3:c4]),
-            Word(letters[c4:]),
-        )
 
 
 class PositionMarking(Frozen):
@@ -357,15 +342,21 @@ class PositionMarking(Frozen):
 
 
 def pump(word: Word, decomposition: Decomposition, k: int) -> Word:
-    """u v^k x y^k z.  k = 1 reproduces the word itself.  ResourceBound,
-    before anything is built, when that word is longer than
-    words.MAX_WITNESS_LENGTH."""
+    """u v^k x y^k z, sliced once from the word's letters; k = 1 gives the
+    word itself.  DomainError for k < 0, then ResourceBound, before
+    anything is built, when that word is longer than
+    words.MAX_WITNESS_LENGTH, then InvalidDecomposition for cuts past
+    the end of the word."""
     if k < 0:
         raise DomainError("pumping count must be >= 0")
     c1, c2, c3, c4 = decomposition.cuts
     _check_length(len(word) + (k - 1) * (c2 - c1 + c4 - c3), "a pumped word")
-    u, v, x, y, z = decomposition.parts(word)
-    return Word(u.letters + v.letters * k + x.letters + y.letters * k + z.letters)
+    if c4 > len(word):
+        raise InvalidDecomposition(
+            f"cuts {decomposition.cuts} overrun a word of length {len(word)}"
+        )
+    w = word.letters
+    return Word(w[:c1] + w[c1:c2] * k + w[c2:c3] + w[c3:c4] * k + w[c4:])
 
 
 class RefutationRecord(Frozen):
@@ -407,18 +398,15 @@ class RefutationReport(Frozen):
 def mark_for_refutation(word: Word, q: int) -> PositionMarking:
     """Distinguish every 1; exclude the first occurrence of each letter
     2..q.  This is the marking the pumping experiment runs under."""
-    distinguished = frozenset(
-        pos for pos, letter in enumerate(word.letters, start=1) if letter == 1
-    )
-    excluded = set()
-    seen: set[int] = set()
+    distinguished, first = set(), {}
     for pos, letter in enumerate(word.letters, start=1):
-        if letter >= 2 and letter not in seen:
-            seen.add(letter)
-            excluded.add(pos)
-    if seen != set(range(2, q + 1)):
+        if letter == 1:
+            distinguished.add(pos)
+        else:
+            first.setdefault(letter, pos)
+    if first.keys() != set(range(2, q + 1)):
         raise DomainError(f"word does not contain each of 2..{q}")
-    return PositionMarking(distinguished=distinguished, excluded=frozenset(excluded))
+    return PositionMarking(frozenset(distinguished), frozenset(first.values()))
 
 
 def bader_moura_refute(
@@ -444,6 +432,11 @@ def bader_moura_refute(
     Kunz scan or its largest letter is not q.  If any decomposition
     survives, NoRefutation is raised carrying the full report.
 
+    By e(vy) = 0, v and y are spans, cut pairs (a, b) with no excluded
+    position in a+1..b; sorted spans are paired, v before y, so records
+    come in the order of their cut tuples.  The ceiling still counts all
+    C(l+4, 4) cut tuples of the length-l witness.
+
     q = 3 and q = 4 are refused: pumping 2s cannot hurt a word whose
     letters never exceed 4, so this experiment is only meaningful from
     q = 5 up.  A ``max_candidates`` below 1 is refused too.
@@ -454,9 +447,7 @@ def bader_moura_refute(
         raise DomainError("p must be >= 1")
     if k_max < 0:
         raise DomainError("k_max must be >= 0")
-    if max_candidates < 1:
-        raise DomainError(
-            f"the candidate ceiling must be at least 1, got {_shown(max_candidates)}")
+    _check_at_least_one(max_candidates, "the candidate ceiling")
     # p**q >= 2**q for p >= 2, and a block of 2**64 letters is over the
     # length ceiling, so capping the exponent at 64 keeps every verdict
     # and message and never builds p**q for a huge q
@@ -479,18 +470,21 @@ def bader_moura_refute(
             (pos in marked for pos in range(1, length + 1)), initial=0))
         for marked in (marking.distinguished, marking.excluded)
     )
+    spans = [(a, b) for a in range(length + 1) for b in range(a, length + 1)
+             if excl[a] == excl[b]]
     records = []
-    for cuts in itertools.combinations_with_replacement(range(length + 1), 4):
-        c1, c2, c3, c4 = cuts
+    for v, y in itertools.combinations_with_replacement(spans, 2):
+        (c1, c2), (c3, c4) = v, y
+        if c2 > c3:
+            continue
         d_vy = dist[c2] - dist[c1] + dist[c4] - dist[c3]
-        e_vy = excl[c2] - excl[c1] + excl[c4] - excl[c3]
-        if d_vy < 1 or e_vy != 0:
+        if d_vy < 1:
             continue
         d_vxy = dist[c4] - dist[c1]
         e_vxy = excl[c4] - excl[c1]
         if d_vxy > p ** (e_vxy + 1):
             continue
-        decomposition = Decomposition(cuts=cuts)
+        decomposition = Decomposition(v + y)
         for k in range(k_max + 1):
             pumped = pump(word, decomposition, k)
             if not is_kunz(pumped):
@@ -501,7 +495,7 @@ def bader_moura_refute(
                 break
         else:
             k = pumped = reason = None
-        records.append(RefutationRecord(decomposition, d_vy, e_vy, d_vxy, e_vxy,
+        records.append(RefutationRecord(decomposition, d_vy, 0, d_vxy, e_vxy,
                                         k, pumped, reason))
 
     report = RefutationReport(

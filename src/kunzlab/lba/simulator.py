@@ -48,6 +48,7 @@ from ..errors import (
     LetterOutOfAlphabet,
     MachineDefinitionError,
     StepBudgetExceeded,
+    _check_at_least_one,
 )
 from ..words import Word, _check_length
 
@@ -314,8 +315,7 @@ def run(
     a traced word longer than words.MAX_WITNESS_LENGTH is refused up front
     with ResourceBound.
     """
-    if max_steps < 1:
-        raise DomainError(f"the step budget must be at least 1, got {max_steps}")
+    _check_at_least_one(max_steps, "the step budget")
     if want_trace:
         _check_length(len(word), "a traced word")
     letter_cell = machine.letter_cell

@@ -11,7 +11,8 @@ coordinates (Selmer), and the Kunz word is read off w, each in O(m) or
 less, whatever the conductor.  small_elements, gaps() and the wire form
 list the members or gaps below it on demand, in O(c), and alone refuse
 a conductor over MAX_CONDUCTOR.  Only from_apery and the small_elements
-constructor validate w; from_generators, words.to_semigroup and
+constructor validate w, in O(m^2), so they first refuse m - 1 over
+MAX_WITNESS_LENGTH; from_generators, words.to_semigroup and
 enumerate_semigroups derive a valid w themselves and store it unchecked.
 """
 
@@ -24,14 +25,14 @@ from itertools import chain, product
 from typing import Iterable, Sequence
 
 from ._frozen import Value
-from .errors import DomainError, NotCofinite, ResourceBound, _shown
+from .errors import DomainError, NotCofinite, ResourceBound, _check_at_least_one, _shown
 
 DEFAULT_SEARCH_CEILING = 10_000_000
 # Largest conductor listed: small_elements, gaps() and the wire form are
 # O(c) reads, and listing the small elements of [1447, 1451]
 # (c = 2,096,700) at the ceiling takes about 0.2 s (2-CPU VM,
-# Python 3.11).  Construction checks only the multiplicity, since c >= m:
-# shortest paths for m = 2**21 take 1.5-2.5 s at 128 MB.
+# Python 3.11).  from_generators checks only the multiplicity against it,
+# since c >= m: shortest paths for m = 2**21 take 1.5-2.5 s at 128 MB.
 MAX_CONDUCTOR = 2**21
 
 
@@ -96,6 +97,21 @@ def _letters_in_bounds(u: Sequence[int]) -> bool:
     return True
 
 
+# Longest word a Kunz scan runs on, m - 1 for an Apery tuple validated
+# here: the scans are O(l^2), and is_kunz takes about 0.6 s at l = 4,001
+# (2.7 s at 8,001; 2-CPU VM, Python 3.11).  Every caller of the witness
+# families scans what it builds, and violations() can list Theta(l^2)
+# items: 1,001,000 on 1^2000 3^2000, at 194 MB peak RSS.
+MAX_WITNESS_LENGTH = 4096
+
+
+def _check_length(length: int, what: str) -> None:
+    if length > MAX_WITNESS_LENGTH:
+        raise ResourceBound(
+            f"{what} of length {_shown(length)} is over the ceiling {MAX_WITNESS_LENGTH}"
+        )
+
+
 def _require_ints(values: tuple, what: str) -> None:
     """DomainError unless every value is an int; run before any arithmetic
     on input, which would otherwise end in a TypeError."""
@@ -138,11 +154,16 @@ class NumericalSemigroup(Value):
             raise DomainError("small_elements must be strictly ascending")
         if small[-1] != conductor:
             raise DomainError("conductor must be the last small element")
-        w = _apery_values(small, conductor + 1, small[1] if conductor else 1)
+        m = small[1] if conductor else 1
+        _check_length(m - 1, f"multiplicity {_shown(m)}: a Kunz word")
+        w = _apery_values(small, conductor + 1, m)
         _check_apery(w)
         super().__init__(w)
-        # not self.small_elements: this input is O(c) already, so no ceiling
-        if tuple(filter(self.contains, range(self.conductor + 1))) != small:
+        # no ceiling: the c + 1 - genus members are counted, then compared
+        # one by one, each at most m past the last, in O(m * len(small))
+        listed = filter(self.contains, range(self.conductor + 1))
+        if (self.conductor + 1 - self.genus != len(small)
+                or any(map(operator.ne, listed, small))):
             raise DomainError(
                 "small_elements must be every member up to the conductor"
                 f" {self.conductor} of the semigroup they generate"
@@ -241,14 +262,13 @@ def _store_apery(values: Iterable[int]) -> NumericalSemigroup:
 def from_apery(values: Sequence[int]) -> NumericalSemigroup:
     """The semigroup whose Apery tuple is ``values``, for the multiplicity
     m = len(values).  DomainError unless the values are integers, checked
-    first; then ResourceBound when m exceeds MAX_CONDUCTOR, since the
-    validation is O(m^2); then DomainError unless values[0] is 0,
+    first; then ResourceBound when m - 1 exceeds MAX_WITNESS_LENGTH, since
+    the validation is O(m^2); then DomainError unless values[0] is 0,
     values[i] = k*m + i with k >= 1 for 0 < i < m, and Kunz's
     inequalities hold (see _check_apery).  Any conductor is built."""
     w = tuple(values)
     _require_ints(w, "an Apery tuple")
-    if len(w) > MAX_CONDUCTOR:
-        raise ResourceBound(f"multiplicity {len(w)} is over the ceiling {MAX_CONDUCTOR}")
+    _check_length(len(w) - 1, f"multiplicity {_shown(len(w))}: a Kunz word")
     _check_apery(w)
     return _store_apery(w)
 
@@ -370,9 +390,7 @@ def enumerate_semigroups(
         raise DomainError("max_multiplicity must be >= 1")
     if max_depth < 0:
         raise DomainError("max_depth must be >= 0")
-    if search_ceiling < 1:
-        raise DomainError(
-            f"the search ceiling must be at least 1, got {_shown(search_ceiling)}")
+    _check_at_least_one(search_ceiling, "the search ceiling")
     if max_depth < 1:
         return [NATURALS]  # every semigroup with a gap has depth >= 1
     # capping the base at the ceiling + 1 keeps the verdict and never

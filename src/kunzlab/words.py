@@ -20,18 +20,17 @@ from __future__ import annotations
 from typing import Iterable, Iterator
 
 from ._frozen import Value
-from .errors import DomainError, NotKunz, ResourceBound, _shown
-from .semigroups import NumericalSemigroup, _letters_in_bounds, _store_apery
+from .errors import DomainError, NotKunz
+from .semigroups import (
+    MAX_WITNESS_LENGTH,
+    NumericalSemigroup,
+    _check_length,
+    _letters_in_bounds,
+    _store_apery,
+)
 
 FIRST = "first"
 SECOND = "second"
-
-# Longest witness word built and longest word violations() lists: the
-# Kunz scans are O(l^2), and is_kunz takes about 0.6 s at l = 4,001
-# (2.7 s at 8,001; 2-CPU VM, Python 3.11).  Every caller of the witness
-# families scans what it builds, and violations() can list Theta(l^2)
-# items: 1,001,000 on 1^2000 3^2000, at 194 MB peak RSS.
-MAX_WITNESS_LENGTH = 4096
 
 
 class Word(Value):
@@ -124,13 +123,6 @@ def violations(word: Word) -> list[Violation]:
     return out
 
 
-def _check_length(length: int, what: str) -> None:
-    if length > MAX_WITNESS_LENGTH:
-        raise ResourceBound(
-            f"{what} of length {_shown(length)} is over the ceiling {MAX_WITNESS_LENGTH}"
-        )
-
-
 def witness_kunz(q: int, n: int) -> Word:
     """The word 1^n 2^n ... (q-1)^n q, of length (q-1)n + 1.
 
@@ -161,12 +153,7 @@ def witness_nonkunz(q: int, n: int, m: int) -> Word:
     if n < 1 or m < 1:
         raise DomainError("block size n and padding m must be >= 1")
     _check_length((q - 1) * n + m + 1, "a witness")
-    letters = (
-        (1,) * (n + m)
-        + tuple(v for v in range(2, q) for _ in range(n))
-        + (q,)
-    )
-    return Word(letters)
+    return Word((1,) * m + witness_kunz(q, n).letters)
 
 
 def to_semigroup(word: Word) -> NumericalSemigroup:

@@ -115,6 +115,47 @@ def naive_semigroups(max_multiplicity, max_depth):
     return [apery for _, apery in sorted(found)]
 
 
+def naive_refutation(q, p, k_max):
+    """(cuts, d_vy, e_vy, d_vxy, e_vxy, k, reason) for each decomposition
+    of the block witness 1^n 2^n ... (q-1)^n q, n = p^q + 1, that meets
+    conditions 1 and 2 of the marked pumping property, in ascending
+    order of the cuts.  The witness is marked here: its 1s are
+    distinguished and the first occurrence of each of 2..q is excluded.
+    Every ascending 4-tuple of cuts is generated and filtered.  k is the
+    first pumping count in 0..k_max whose word fails kunz_tuple_ok
+    ("not_kunz") or has a largest letter other than q ("wrong_depth");
+    k and reason are None when there is none."""
+    n = p ** q + 1
+    w = [v for v in range(1, q) for _ in range(n)] + [q]
+    # 0-based indices: cut c splits w into w[:c] and w[c:]
+    distinguished = [i for i, letter in enumerate(w) if letter == 1]
+    excluded = [w.index(letter) for letter in range(2, q + 1)]
+
+    def marked(positions, lo, hi):
+        return sum(lo <= i < hi for i in positions)
+
+    out = []
+    for cuts in itertools.combinations_with_replacement(range(len(w) + 1), 4):
+        c1, c2, c3, c4 = cuts
+        d_vy = marked(distinguished, c1, c2) + marked(distinguished, c3, c4)
+        e_vy = marked(excluded, c1, c2) + marked(excluded, c3, c4)
+        d_vxy = marked(distinguished, c1, c4)
+        e_vxy = marked(excluded, c1, c4)
+        if d_vy < 1 or e_vy != 0 or d_vxy > p ** (e_vxy + 1):
+            continue
+        k = reason = None
+        for j in range(k_max + 1):
+            pumped = w[:c1] + w[c1:c2] * j + w[c2:c3] + w[c3:c4] * j + w[c4:]
+            if not kunz_tuple_ok(pumped):
+                k, reason = j, "not_kunz"
+            elif max(pumped) != q:
+                k, reason = j, "wrong_depth"
+            if k is not None:
+                break
+        out.append((cuts, d_vy, e_vy, d_vxy, e_vxy, k, reason))
+    return out
+
+
 def all_words(alphabet, max_len):
     for length in range(max_len + 1):
         for letters in itertools.product(alphabet, repeat=length):

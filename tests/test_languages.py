@@ -28,7 +28,7 @@ from kunzlab import (
 from kunzlab import languages
 from kunzlab.languages import MAX_NERODE_PAIRS
 from kunzlab.words import MAX_WITNESS_LENGTH
-from conftest import all_words, naive_census
+from conftest import all_words, naive_census, naive_refutation
 
 
 def test_dfa_k2_examples():
@@ -268,9 +268,9 @@ def test_pump_length_identity():
     for c1 in range(length + 1):
         for c2 in range(c1, length + 1):
             d = Decomposition(cuts=(c1, c2, c2, length))
-            u, v, x, y, z = d.parts(w)
+            v_len, y_len = c2 - c1, length - c2
             for k in (0, 1, 2, 3):
-                assert len(pump(w, d, k)) == length + (k - 1) * (len(v) + len(y))
+                assert len(pump(w, d, k)) == length + (k - 1) * (v_len + y_len)
 
 
 def test_pump_validation():
@@ -311,6 +311,23 @@ def test_refute_q5():
         assert record.k is not None and record.k <= 4
         pumped = pump(report.word, record.decomposition, record.k)
         assert not in_kunz_language(pumped, 5)
+
+
+@pytest.mark.parametrize("q", range(5, 13))
+def test_refutation_matches_generate_and_filter(q):
+    # the span pairing admits exactly the decompositions a filter over
+    # every cut tuple keeps, in the same order, and pumps them alike
+    for k_max in range(5):
+        expected = naive_refutation(q, 1, k_max)
+        try:
+            report = bader_moura_refute(q, 1, k_max)
+        except NoRefutation as exc:
+            report = exc.report
+            assert any(k is None for *_, k, _ in expected)
+        else:
+            assert all(k is not None for *_, k, _ in expected)
+        assert [(r.decomposition.cuts, r.d_vy, r.e_vy, r.d_vxy, r.e_vxy,
+                 r.k, r.reason) for r in report.records] == expected
 
 
 def test_refute_q6():

@@ -91,6 +91,9 @@ def test_step_budget():
         run(m, Word((1, 1, 1)), max_steps=50)
     with pytest.raises(DomainError, match="at least 1"):
         run(m, Word((1, 1, 1)), max_steps=0)
+    # printed with errors._shown: a budget of 5,001 digits is no ValueError
+    with pytest.raises(DomainError, match=r"at least 1, got -2\^64 or less$"):
+        run(m, Word((1, 1, 1)), max_steps=-10**5000)
 
 
 def test_sweep_from_a_marker_stops_at_the_other_marker():

@@ -15,7 +15,7 @@ from kunzlab import (
     to_semigroup,
 )
 from kunzlab import semigroups
-from kunzlab.semigroups import MAX_CONDUCTOR, from_apery
+from kunzlab.semigroups import MAX_CONDUCTOR, MAX_WITNESS_LENGTH, from_apery
 from conftest import (
     kunz_tuple_ok,
     naive_conductor,
@@ -82,21 +82,42 @@ def test_from_generators_two_coprime_generators(a, b):
 
 def test_construction_ceiling(monkeypatch):
     # only the multiplicity is refused when building, before the O(m)
-    # shortest paths or the O(m^2) validation run
+    # shortest paths, or before the Apery tuple is built and run through
+    # the O(m^2) validation once m - 1 is over the Kunz scan's ceiling
     def no_work(*args):
         raise AssertionError("construction work ran")
 
     monkeypatch.setattr(heapq, "heappop", no_work)
+    monkeypatch.setattr(semigroups, "_apery_values", no_work)
     monkeypatch.setattr(semigroups, "_check_apery", no_work)
     with pytest.raises(ResourceBound, match="multiplicity"):
         from_generators([MAX_CONDUCTOR + 1, MAX_CONDUCTOR + 2])
     with pytest.raises(ResourceBound, match="multiplicity"):
         from_apery([0] * (MAX_CONDUCTOR + 1))
+    with pytest.raises(ResourceBound, match="^multiplicity 1000000000: a Kunz word"
+                       " of length 999999999 is over the ceiling 4096$"):
+        NumericalSemigroup((0, 10**9), 10**9)
+    with pytest.raises(ResourceBound, match=r"^multiplicity 2\^64 or more"):
+        NumericalSemigroup((0, 10**5000), 10**5000)
+    m = MAX_WITNESS_LENGTH + 2
+    with pytest.raises(ResourceBound, match=f"^multiplicity {m}: a Kunz word"):
+        from_apery((0,) + tuple(range(m + 1, 2 * m)))
     monkeypatch.undo()
     # m = 2 and w = (0, c + 1) give conductor c over the ceiling: built
     # (listed by neither; see the bit-mask oracle test below)
     assert from_apery((0, MAX_CONDUCTOR + 3)) == to_semigroup(
         Word((MAX_CONDUCTOR // 2 + 1,)))
+
+
+def test_validation_ceiling_boundary(monkeypatch):
+    # m - 1 equal to the ceiling is validated by both routes, one more is not
+    monkeypatch.setattr(semigroups, "MAX_WITNESS_LENGTH", 8)
+    s = from_apery(tuple([0] + list(range(10, 18))))
+    assert s == NumericalSemigroup((0, 9), 9) and s.multiplicity == 9
+    with pytest.raises(ResourceBound, match="multiplicity 10"):
+        NumericalSemigroup((0, 10), 10)
+    with pytest.raises(ResourceBound, match="multiplicity 10"):
+        from_apery(tuple([0] + list(range(11, 20))))
 
 
 def assert_listings_refused(s):
@@ -142,6 +163,21 @@ def test_small_elements_constructor_lists_past_the_ceiling():
     evens = range(0, MAX_CONDUCTOR + 3, 2)
     s = NumericalSemigroup(evens, MAX_CONDUCTOR + 2)
     assert s == from_apery((0, MAX_CONDUCTOR + 3))
+
+
+def test_small_elements_constructor_refuses_a_short_list_at_once(monkeypatch):
+    # three members cannot be every member up to a conductor of 10^9: the
+    # count is refused before the scan over the integers below it
+    def no_scan(self, x):
+        raise AssertionError("scanned the integers up to the conductor")
+
+    monkeypatch.setattr(NumericalSemigroup, "contains", no_scan)
+    with pytest.raises(DomainError, match="every member up to the conductor 1000000000 "):
+        NumericalSemigroup((0, 2, 10**9), 10**9)
+    monkeypatch.undo()
+    # as many members as <2, 5> has up to its conductor 4, but not its own
+    with pytest.raises(DomainError, match="every member up to the conductor 4 "):
+        NumericalSemigroup((0, 2, 5), 5)
 
 
 def test_from_apery_checks_its_precondition():
