@@ -37,7 +37,10 @@ def _shown(n: int) -> str:
 
 
 def _check_at_least_one(value: int, what: str) -> None:
-    """DomainError, printing ``value`` with _shown, unless it is >= 1."""
+    """DomainError unless ``value`` is an int >= 1; a value below 1 is
+    printed with _shown."""
+    if not isinstance(value, int):
+        raise DomainError(f"{what} must be an integer, got {type(value).__name__}")
     if value < 1:
         raise DomainError(f"{what} must be at least 1, got {_shown(value)}")
 

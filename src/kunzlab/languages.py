@@ -131,7 +131,7 @@ def _last_letters(q: int, length: int) -> Iterator[tuple[list[int], int, list[ra
     letter lies in its _letter_bounds interval, in lexicographic order.
     For each one yields (u, x_lo, ys): the words through the prefix are
     u[:l-2] + (x_lo + i, y) for each y in ys[i], in lexicographic order.
-    u is reused between yields.
+    u is reused between yields and holds zeros past the prefix.
 
     From l = 3 on the walk stops two letters short.  One _letter_bounds
     call gives the interval of u_{l-1}, and only three terms of the last
@@ -147,7 +147,6 @@ def _last_letters(q: int, length: int) -> Iterator[tuple[list[int], int, list[ra
     """
     u = [0] * length
     tops = [0] * length
-    first_q = length  # position of the first q in the prefix; length if none
     stop = max(length - 2, 1)
     half = length // 2
     p = 0  # letters placed
@@ -159,7 +158,7 @@ def _last_letters(q: int, length: int) -> Iterator[tuple[list[int], int, list[ra
         elif length == 2:
             lo, hi = _letter_bounds(u, 2, 2, q)
             # hi <= q, and a prefix without a q can only end in q
-            yield u, u[0], [range(lo if first_q < length else q, hi + 1)]
+            yield u, u[0], [range(lo if q in u else q, hi + 1)]
         else:
             x_lo, x_hi = _letter_bounds(u, length - 1, length, q)
             top = q  # H: the pairs u_i + u_{l-i}, 2 <= i <= l/2
@@ -173,7 +172,7 @@ def _last_letters(q: int, length: int) -> Iterator[tuple[list[int], int, list[ra
                 if d > floor:
                     floor = d
             # a word whose prefix and u_{l-1} hold no q ends in q
-            last_floor = floor if first_q < length else q
+            last_floor = floor if q in u else q
             first, before = u[0], u[p - 1] - 1
             ys = []
             for x in range(x_lo, x_hi + 1):
@@ -192,11 +191,7 @@ def _last_letters(q: int, length: int) -> Iterator[tuple[list[int], int, list[ra
             x = u[p - 1] + 1
             if x <= tops[p - 1]:
                 u[p - 1] = x
-                if x == q and first_q > p:
-                    first_q = p
                 break
-            if first_q == p:
-                first_q = length
             p -= 1
         else:
             return
@@ -296,10 +291,11 @@ def nerode_evidence(q: int, cutoff: int) -> NerodeReport:
         )
     separations = []
     for i in range(1, cutoff):
-        suffix = Word(witness_kunz(q, i).letters[i:])
-        member_i = in_kunz_language(Word((1,) * i) + suffix, q)
+        witness = witness_kunz(q, i)
+        suffix = Word(witness.letters[i:])
+        member_i = in_kunz_language(witness, q)
         for j in range(i + 1, cutoff + 1):
-            member_j = in_kunz_language(Word((1,) * j) + suffix, q)
+            member_j = in_kunz_language(Word((1,) * j + suffix.letters), q)
             if not member_i or member_j:
                 raise SelfCheckFailed(
                     f"separation for ({i}, {j}) failed re-verification"
@@ -314,13 +310,16 @@ def nerode_evidence(q: int, cutoff: int) -> NerodeReport:
 
 
 class Decomposition(Frozen):
-    """Cut points 0 <= c1 <= c2 <= c3 <= c4 splitting a word w into
-    u = w[:c1], v = w[c1:c2], x = w[c2:c3], y = w[c3:c4], z = w[c4:];
-    pump refuses cuts past the end of w."""
+    """Four integer cut points 0 <= c1 <= c2 <= c3 <= c4 splitting a word
+    w into u = w[:c1], v = w[c1:c2], x = w[c2:c3], y = w[c3:c4],
+    z = w[c4:]; pump refuses cuts past the end of w."""
 
     __slots__ = ("cuts",)
 
     def __init__(self, cuts: tuple[int, int, int, int]):
+        if (not isinstance(cuts, (tuple, list)) or len(cuts) != 4
+                or any(type(c) is not int for c in cuts)):
+            raise InvalidDecomposition(f"cuts {cuts!r} are not four integers")
         c1, c2, c3, c4 = cuts
         if not (0 <= c1 <= c2 <= c3 <= c4):
             raise InvalidDecomposition(f"cuts {cuts} are not ascending")
@@ -429,8 +428,10 @@ def bader_moura_refute(
 
     Every decomposition satisfying 1-2 is enumerated and attacked with
     k = 0..k_max, counting a pumped word as outside K_q when it fails the
-    Kunz scan or its largest letter is not q.  If any decomposition
-    survives, NoRefutation is raised carrying the full report.
+    Kunz scan or its largest letter is not q.  Each distinct pumped word
+    is scanned once, and the records that pump to it share its first
+    copy.  If any decomposition survives, NoRefutation is raised
+    carrying the full report.
 
     By e(vy) = 0, v and y are spans, cut pairs (a, b) with no excluded
     position in a+1..b; sorted spans are paired, v before y, so records
@@ -472,6 +473,7 @@ def bader_moura_refute(
     )
     spans = [(a, b) for a in range(length + 1) for b in range(a, length + 1)
              if excl[a] == excl[b]]
+    seen = {}  # each distinct pumped word: its first copy and its reason
     records = []
     for v, y in itertools.combinations_with_replacement(spans, 2):
         (c1, c2), (c3, c4) = v, y
@@ -487,11 +489,11 @@ def bader_moura_refute(
         decomposition = Decomposition(v + y)
         for k in range(k_max + 1):
             pumped = pump(word, decomposition, k)
-            if not is_kunz(pumped):
-                reason = "not_kunz"
-                break
-            if pumped.depth != q:
-                reason = "wrong_depth"
+            if pumped not in seen:
+                seen[pumped] = pumped, ("not_kunz" if not is_kunz(pumped) else
+                                        "wrong_depth" if pumped.depth != q else None)
+            pumped, reason = seen[pumped]
+            if reason:
                 break
         else:
             k = pumped = reason = None

@@ -436,3 +436,37 @@ def test_enumerate_default_ceiling_is_the_library_default(capsys):
     explicit = run_cli(capsys, *argv, "--max-candidates",
                        str(DEFAULT_CANDIDATE_CEILING))
     assert explicit == (code, out, err)
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["validate", "0"], 2),
+    (["validate", "1,,2"], 2),
+    (["semigroup", "--gens", ""], 2),
+    (["semigroup", "--word", "0"], 2),
+    (["enumerate", "--depth", "-1", "--length", "3"], 2),
+    (["enumerate", "--depth", "3", "--length", "100000000000"], 2),
+    (["enumerate", "--depth", "100000000000", "--length", "2"], 2),
+    (["lba", "--depth", "25", "--word", "1"], 2),
+    (["lba", "--depth", "3", "--word", "1,x"], 2),
+    (["lba", "--depth", "3", "--word", "1,2,3", "--max-steps", "0"], 2),
+    (["witness", "--kunz", "100000000000000000000", "1"], 2),
+    (["witness", "--nonkunz", "3", "1", "0"], 2),
+    (["nerode", "--depth", "100000000000000000000", "--max", "2"], 2),
+    (["pumping", "--depth", "5", "--p", "100000000000000000000", "--kmax", "1"], 2),
+    (["pumping", "--depth", "5", "--p", "2", "--kmax", "1"], 2),
+    (["semigroup", "--gens", "2,4"], 1),
+    (["semigroup", "--word", "1,3"], 1),
+    (["lba", "--depth", "3", "--word", "3", "--max-steps", "1"], 3),
+], ids=lambda value: " ".join(a or "''" for a in value) if isinstance(value, list) else None)
+def test_malformed_and_extreme_arguments_exit_cleanly(argv, code):
+    """Every subcommand answers a malformed or extreme argument with its
+    exit code and a one-line error, never a traceback; the extreme sizes
+    are refused up front and never run."""
+    env = dict(os.environ, PYTHONPATH=str(Path(kunzlab.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "kunzlab", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == code
+    assert "Traceback" not in proc.stderr
+    assert "error:" in proc.stderr.splitlines()[-1]

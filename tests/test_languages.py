@@ -1,4 +1,5 @@
 import re
+from collections import Counter
 
 import pytest
 
@@ -277,6 +278,10 @@ def test_pump_validation():
     w = Word((1, 2, 3))
     with pytest.raises(InvalidDecomposition):
         Decomposition(cuts=(2, 1, 2, 3))
+    for cuts in ((0, 1, 1), (0, 1, 1, 2, 3), "0112", (0, 1, 1, 2.5)):
+        message = re.escape(f"cuts {cuts!r} are not four integers")
+        with pytest.raises(InvalidDecomposition, match=f"^{message}$"):
+            Decomposition(cuts)
     with pytest.raises(InvalidDecomposition):
         pump(w, Decomposition(cuts=(0, 1, 2, 7)), 1)
     with pytest.raises(DomainError):
@@ -328,6 +333,41 @@ def test_refutation_matches_generate_and_filter(q):
             assert all(k is not None for *_, k, _ in expected)
         assert [(r.decomposition.cuts, r.d_vy, r.e_vy, r.d_vxy, r.e_vxy,
                  r.k, r.reason) for r in report.records] == expected
+
+
+def _count_scans(monkeypatch) -> list[int]:
+    """Count the Kunz scans the refutation makes, in a one-item list."""
+    scans = [0]
+    scan = languages.is_kunz
+
+    def counted(word):
+        scans[0] += 1
+        return scan(word)
+
+    monkeypatch.setattr(languages, "is_kunz", counted)
+    return scans
+
+
+@pytest.mark.parametrize("q", range(5, 13))
+def test_refutation_scans_each_distinct_pumped_word_once(monkeypatch, q):
+    # one scan and one shared Word per distinct pumped word
+    scans = _count_scans(monkeypatch)
+    report = bader_moura_refute(q, 1, 4)
+    assert scans[0] == 2 * q - 1
+    pumped = [r.pumped for r in report.records]
+    assert len(set(map(id, pumped))) == len(set(pumped))
+
+
+def test_refutation_at_p2_shares_its_pumped_words(monkeypatch):
+    # the ceiling is C(137, 4), the cut tuples of the length-133 witness
+    scans = _count_scans(monkeypatch)
+    report = bader_moura_refute(5, 2, 4, max_candidates=14_043_870)
+    records = report.records
+    assert len(records) == 102_856
+    assert scans[0] == 1_143
+    assert Counter((r.k, r.reason) for r in records) == {
+        (0, "not_kunz"): 68_789, (2, "not_kunz"): 34_067}
+    assert len({id(r.pumped) for r in records}) == len({r.pumped for r in records})
 
 
 def test_refute_q6():

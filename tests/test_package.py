@@ -106,6 +106,21 @@ def test_defaults():
     assert result.trace is None and result.trace_truncated is False
 
 
+@pytest.mark.parametrize("value", [1e9, 10.5, "5"], ids=["1e9", "10.5", "'5'"])
+@pytest.mark.parametrize("call", [
+    lambda value: kunzlab.enumerate_kunz(3, 3, max_candidates=value),
+    lambda value: kunzlab.enumerate_semigroups(4, 2, search_ceiling=value),
+    lambda value: bader_moura_refute(5, 1, 4, max_candidates=value),
+    lambda value: run(build_k3_machine(), Word((1, 2, 3)), max_steps=value),
+], ids=["enumerate_kunz", "enumerate_semigroups", "bader_moura_refute", "run"])
+def test_ceilings_and_budgets_must_be_integers(call, value):
+    # refused before any work, not ended in an AttributeError, a budget
+    # trip or a silent float comparison
+    message = f"must be an integer, got {type(value).__name__}$"
+    with pytest.raises(DomainError, match=message):
+        call(value)
+
+
 def test_validation_in_the_constructors():
     for bad in ((1, 0, 2), (1, "2"), (1.0,)):
         with pytest.raises(DomainError):
