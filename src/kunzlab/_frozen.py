@@ -8,10 +8,13 @@ AttributeError.  A class keeps an ``__init__`` of its own only to check
 or default its fields before handing them on (Dfa, Decomposition,
 PositionMarking, RunResult), to derive them from another object
 (CompiledMachine, NumericalSemigroup), or because it is built in the
-hot loops and stores its one field directly (Word, and
-semigroups._store_apery).  Only the classes whose instances are
-compared by value derive from Value; the rest compare by identity and
-keep the default repr.
+hot loops and stores its one field directly (Word).  The semigroups the
+package derives itself skip the constructor: semigroups._store_apery
+and enumerate_semigroups set the ``_w`` slot through its descriptor's
+``__set__``, the census in bulk with no Python-level call per
+semigroup.  Only the classes whose instances are compared by value
+derive from Value; the rest compare by identity and keep the default
+repr.
 """
 
 

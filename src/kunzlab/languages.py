@@ -2,8 +2,9 @@
 replays of the classification experiments.
 
 K_q is the set of Kunz words over {1,...,q} whose largest letter is
-exactly q.  For q <= 2 the language is regular and tiny machines below
-recognize it.  For q >= 3 no finite automaton can: this module produces
+exactly q.  For q <= 2 the language is regular, {1}+ and {1,2}*2{1,2}*:
+tiny machines below recognize it, and the census lists and counts it in
+closed form.  For q >= 3 no finite automaton can: this module produces
 the concrete distinguishability and pumping evidence for that, one
 finite, re-checkable certificate at a time.
 """
@@ -101,10 +102,11 @@ def in_kunz_language(word: Word, q: int) -> bool:
 
 def _check_census(q: int, length: int, max_candidates: int) -> None:
     """Argument and ceiling checks shared by the two census functions.
-    The census covers at most q**length candidate words, and even the
-    one word of depth 1 costs the walk O(length**2) interval work, so
-    either count over max_candidates refuses the cell.  A ceiling below 1
-    is refused before any cell is looked at."""
+    The census covers at most q**length candidate words, and a walk
+    costs O(length**2) interval work even on one word, so either count
+    over max_candidates refuses the cell.  Both apply at q <= 2 too,
+    where the answer is in closed form and no walk runs.  A ceiling
+    below 1 is refused before any cell is looked at."""
     if q < 0 or length < 0:
         raise DomainError("depth and length must be nonnegative")
     _check_at_least_one(max_candidates, "the candidate ceiling")
@@ -205,19 +207,25 @@ def enumerate_kunz(
 ) -> list[Word]:
     """All words of K_q of the given length, in lexicographic order.
 
-    A depth-first search that tries letters in ascending order and, the
-    length being fixed, places each letter only inside the interval the
-    Kunz conditions decided at its position leave open (see
-    semigroups._letter_bounds), so every dead prefix is cut as soon as it
-    is placed.  It stops two letters short and lists the last two from
-    one set of bounds per prefix (see _last_letters).  The ceiling
-    applies to all q**length candidates and to the length**2 interval
-    work (see _check_census).
+    At q <= 2 no Kunz condition can fail, since every pair sum is at
+    least 2, so the words are every word over {1..q} but 1^length, listed
+    by itertools.product.  From q = 3 on, a depth-first search that tries
+    letters in ascending order and, the length being fixed, places each
+    letter only inside the interval the Kunz conditions decided at its
+    position leave open (see semigroups._letter_bounds), so every dead
+    prefix is cut as soon as it is placed.  It stops two letters short
+    and lists the last two from one set of bounds per prefix (see
+    _last_letters).  The ceiling applies to all q**length candidates and
+    to the length**2 interval work (see _check_census), at every q.
     """
     _check_census(q, length, max_candidates)
     if q == 0 or length < 2:
         # K_0 is the empty word alone, and K_q's one word of length 1 is q
         return [Word((q,) * length)] if (q == 0) == (length == 0) else []
+    if q <= 2:
+        # 1^length comes first, and is in K_q at q = 1 alone
+        words = itertools.product(range(1, q + 1), repeat=length)
+        return list(map(Word, itertools.islice(words, q - 1, None)))
     out = []
     for u, x_lo, ys in _last_letters(q, length):
         head = tuple(u[:length - 2])
@@ -228,11 +236,15 @@ def enumerate_kunz(
 
 
 def count_kunz(q: int, length: int, *, max_candidates: int = DEFAULT_CANDIDATE_CEILING) -> int:
-    """len(enumerate_kunz(q, length)), by the same walk but building no
-    words: each prefix adds the sizes of its last intervals."""
+    """len(enumerate_kunz(q, length)), building no words: q**length -
+    (q-1)**length at q <= 2, the words over {1..q} that hold a q, and
+    from q = 3 on by the same walk, each prefix adding the sizes of its
+    last intervals.  The ceiling is enumerate_kunz's."""
     _check_census(q, length, max_candidates)
     if q == 0 or length < 2:
         return int((q == 0) == (length == 0))
+    if q <= 2:
+        return q**length - (q - 1) ** length
     return sum(sum(map(len, ys)) for _, _, ys in _last_letters(q, length))
 
 
@@ -367,6 +379,10 @@ class RefutationRecord(Frozen):
                  "k", "pumped", "reason")
 
     def to_json_dict(self) -> dict:
+        return self._json_dict(None if self.pumped is None else str(self.pumped))
+
+    def _json_dict(self, pumped: str | None) -> dict:
+        """The wire form, with the pumped word already rendered."""
         return {
             "cuts": list(self.decomposition.cuts),
             "d_vy": self.d_vy,
@@ -374,7 +390,7 @@ class RefutationRecord(Frozen):
             "d_vxy": self.d_vxy,
             "e_vxy": self.e_vxy,
             "k": self.k,
-            "pumped": None if self.pumped is None else str(self.pumped),
+            "pumped": pumped,
             "reason": self.reason if self.reason is not None else "unrefuted",
         }
 
@@ -391,7 +407,12 @@ class RefutationReport(Frozen):
         return not self.unrefuted
 
     def to_json_list(self) -> list[dict]:
-        return [r.to_json_dict() for r in self.records]
+        """Each record's wire form.  Records that pump to equal words share
+        one Word (see bader_moura_refute), so each Word object is rendered
+        once per call."""
+        words = {id(r.pumped): r.pumped for r in self.records}
+        shown = {key: None if w is None else str(w) for key, w in words.items()}
+        return [r._json_dict(shown[id(r.pumped)]) for r in self.records]
 
 
 def mark_for_refutation(word: Word, q: int) -> PositionMarking:

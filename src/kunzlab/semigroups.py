@@ -21,7 +21,8 @@ from __future__ import annotations
 import heapq
 import math
 import operator
-from itertools import chain, product
+from collections import deque
+from itertools import chain, product, repeat
 from typing import Iterable, Sequence
 
 from ._frozen import Value
@@ -88,8 +89,13 @@ def _letter_bounds(u: Sequence[int], p: int, length: int, q: int) -> tuple[int, 
 
 
 def _letters_in_bounds(u: Sequence[int]) -> bool:
-    """True iff every letter of u lies in its _letter_bounds interval."""
+    """True iff every letter of u, a sequence of positive integers, lies
+    in its _letter_bounds interval.  O(l) on the regular core,
+    2*min(u) >= max(u): every pair sum is >= 2*min(u) >= every letter,
+    so both conditions hold.  O(l^2) otherwise."""
     n, q = len(u), max(u, default=0)
+    if 2 * min(u, default=0) >= q:
+        return True
     for p in range(1, n + 1):
         lo, hi = _letter_bounds(u, p, n, q)
         if not lo <= u[p - 1] <= hi:
@@ -252,10 +258,14 @@ class NumericalSemigroup(Value):
 NATURALS = NumericalSemigroup(small_elements=(0,), conductor=0)
 
 
+# the _w slot's own setter, which Frozen.__setattr__ does not guard
+_set_apery = NumericalSemigroup._w.__set__
+
+
 def _store_apery(values: Iterable[int]) -> NumericalSemigroup:
     """from_apery without _check_apery, for tuples valid by construction."""
     semigroup = object.__new__(NumericalSemigroup)
-    object.__setattr__(semigroup, "_w", tuple(values))
+    _set_apery(semigroup, tuple(values))
     return semigroup
 
 
@@ -313,41 +323,31 @@ def from_generators(gens: Iterable[int]) -> NumericalSemigroup:
     return _store_apery(values)
 
 
-def _row_nodes(x0: int, bound: int, sums: int) -> int:
-    """Nodes of a gap-set search subtree from x0 to its leaves at bound
-    when no choice in [x0, bound) forces another: 2**f on each level, f
-    the free positions (bits of ``sums`` unset) above it."""
-    level = size = 1
-    for y in range(x0, bound):
-        if not sums >> y & 1:
-            level *= 2
-        size += level
-    return size
-
-
-def _last_row(m: int, bound: int, x0: int, mask: int, sums: int) -> list[tuple[int, ...]]:
-    """The choices for each w[r], r = 0 .. m-1, under a gap-set search
-    node at x0 = max(m + 1, bound - m), bound a multiple of m, whose
-    members below x0 are 0 and the bits of ``mask`` and whose forced
-    positions are the bits of ``sums``: the least member congruent to r
-    below x0 when there is one; else, for the position y = bound - m + r,
-    (y + m,) when y < x0 was left a gap, (y,) when y is forced and
-    (y, y + m) when y is free."""
-    low = bound - m
-    choices = [(0,)]
-    for y in range(low + 1, bound):
-        a = y - low + m
-        while a < x0 and not mask >> a & 1:
-            a += m
-        if a < x0:
+def _last_row(
+    m: int, bound: int, x0: int, least: Sequence[int], sums: int
+) -> tuple[int, list[tuple[int, ...]]]:
+    """The subtree of a gap-set search node at x0 = max(m + 1, bound - m),
+    bound a multiple of m: its node count, and the choices for each w[r],
+    r = 0 .. m-1, whose product lists its leaves.  least[r] is the least
+    member congruent to r below x0, or bound + r when there is none; the
+    forced positions are the bits of ``sums``.  For y = bound - m + r the
+    choice is (least[r],) when y < x0, or when least[r] < x0, which
+    forces y; else (y,) when y is forced and (y, y + m) when it is free.
+    A level of the subtree holds 2**f nodes, f the free positions from x0
+    to it, so the one pass over the row also counts them."""
+    level = nodes = 1
+    choices = []
+    for y, a in zip(range(bound - m, bound), least):
+        if y < x0 or a < x0:
             choices.append((a,))
-        elif y < x0:
-            choices.append((y + m,))
         elif sums >> y & 1:
             choices.append((y,))
         else:
-            choices.append((y, y + m))
-    return choices
+            choices.append((y, a))
+            level *= 2
+        if y >= x0:
+            nodes += level
+    return nodes, choices
 
 
 def enumerate_semigroups(
@@ -374,6 +374,11 @@ def enumerate_semigroups(
     (see _last_row).  Since bound is a multiple of m, the residues of
     [x0, bound) ascend with the positions, so itertools.product yields
     the Apery tuples in the order a position-by-position search would.
+    The search keeps each residue's least member so far in one list of m
+    ints, set when a member joins first in its residue and reset on the
+    way back, so a row reads each residue's choice in O(1).  The row's
+    tuples become NumericalSemigroups in bulk, with no Python-level call
+    per semigroup.
 
     Output is ascending-lexicographic by small_elements, with no sort:
     the multiplicities run in ascending order and each position tries
@@ -404,27 +409,43 @@ def enumerate_semigroups(
     results: list[NumericalSemigroup] = [NATURALS]
     nodes = 0
 
-    def extend(m: int, bound: int, x0: int, mask: int, sums: int, x: int) -> None:
+    def extend(mask: int, sums: int, x: int) -> None:
         # mask has bit a for each member a > 0, sums bit a + b for each
         # pair of them; x is forced into S iff bit x of sums is set
         nonlocal nodes
-        nodes += 1 if x < x0 else _row_nodes(x0, bound, sums)
+        if x < x0:
+            nodes += 1
+        else:  # the last row is charged in full before any of it is built
+            row, choices = _last_row(m, bound, x0, least, sums)
+            nodes += row
         if nodes > search_ceiling:
             raise ResourceBound(f"gap-set search exceeded {search_ceiling} nodes")
         if x == x0:
-            choices = _last_row(m, bound, x0, mask, sums)
-            results.extend(map(_store_apery, product(*choices)))
+            # one NumericalSemigroup per Apery tuple, with no Python-level
+            # call per semigroup: bare objects, then the _w slot's setter
+            tuples = list(product(*choices))
+            found = list(map(object.__new__, repeat(NumericalSemigroup, len(tuples))))
+            deque(map(_set_apery, found, tuples), maxlen=0)
+            results.extend(found)
             return
-        # x joins S
+        # x joins S, as the least member of its residue if none is yet
         joined = mask | 1 << x
-        extend(m, bound, x0, joined, sums | joined << x, x + 1)
+        r = x % m
+        first = least[r]
+        if first > x:
+            least[r] = x
+        extend(joined, sums | joined << x, x + 1)
+        least[r] = first
         # x stays a gap, unless closure already forces it in
         if not sums >> x & 1:
-            extend(m, bound, x0, mask, sums, x + 1)
+            extend(mask, sums, x + 1)
 
     for m in range(2, max_multiplicity + 1):
         bound = m * max_depth
+        x0 = max(m + 1, bound - m)
+        # the least member congruent to r so far, bound + r while there is none
+        least = [0, *range(bound + 1, bound + m)]
         # 1 .. m-1 are gaps by definition of the multiplicity
-        extend(m, bound, max(m + 1, bound - m), 1 << m, 1 << 2 * m, m + 1)
+        extend(1 << m, 1 << 2 * m, m + 1)
 
     return results

@@ -131,6 +131,28 @@ def test_count_kunz_large_cells(q, length, count):
     assert all(w.depth == q for w in words)
 
 
+def test_regular_census_needs_no_walk(monkeypatch):
+    # K_1 and K_2 are answered in closed form, without one interval call
+    def refuse(*args):
+        raise AssertionError("census walked")
+
+    monkeypatch.setattr(languages, "_letter_bounds", refuse)
+    assert count_kunz(2, 40, max_candidates=2**40) == 2**40 - 1
+    assert count_kunz(1, 40) == 1
+    for length in range(13):
+        for q in (1, 2):
+            want = naive_census(q, length)
+            assert [w.letters for w in enumerate_kunz(q, length)] == want
+            assert count_kunz(q, length) == len(want)
+    # the ceilings still refuse, as for a walked cell
+    with pytest.raises(ResourceBound, match="1099511627776 candidate words"):
+        count_kunz(2, 40)
+    with pytest.raises(ResourceBound, match="length 101 needs 10201 interval steps"):
+        enumerate_kunz(1, 101, max_candidates=10_000)
+    with pytest.raises(AssertionError, match="census walked"):
+        count_kunz(3, 3)
+
+
 @pytest.mark.parametrize("cell,nodes", [((5, 9), 29_538), ((3, 12), 34_855)])
 def test_census_node_count_is_pinned(monkeypatch, cell, nodes):
     # one _letter_bounds call per prefix of length up to l-2, and one

@@ -1,4 +1,5 @@
 import heapq
+from collections import Counter
 
 import pytest
 
@@ -9,6 +10,7 @@ from kunzlab import (
     NumericalSemigroup,
     ResourceBound,
     Word,
+    count_kunz,
     enumerate_semigroups,
     from_generators,
     from_semigroup,
@@ -374,6 +376,18 @@ def test_enumerate_matches_the_naive_gap_set_census(cell):
     for m in range(1, max_m + 1):
         listed = [s.apery.values for s in enumerate_semigroups(m, max_depth)]
         assert listed == [w for w in naive if len(w) <= m]
+
+
+def test_gap_set_census_counts_the_kunz_words():
+    # one semigroup of multiplicity m and depth q per word of K_q of
+    # length m - 1, in strictly ascending small_elements order
+    found = enumerate_semigroups(10, 4)
+    assert len(found) == 83_136
+    small = [s.small_elements for s in found]
+    assert all(a < b for a, b in zip(small, small[1:]))
+    cells = Counter((s.multiplicity, s.depth) for s in found)
+    assert cells == {(m, q): count_kunz(q, m - 1) for m in range(1, 11)
+                     for q in range(5) if count_kunz(q, m - 1)}
 
 
 def test_census_invariants():

@@ -18,6 +18,7 @@ from kunzlab import (
     witness_kunz,
     witness_nonkunz,
 )
+from kunzlab import semigroups
 from kunzlab.semigroups import from_apery
 from kunzlab.words import MAX_WITNESS_LENGTH
 from conftest import all_words, kunz_tuple_ok
@@ -106,6 +107,31 @@ def test_interval_check_scan_and_definition_agree():
             assert not ok
         else:
             assert ok
+
+
+# the regular core, 2*min >= max, at the length ceiling: one word with
+# 2*min above max and one with 2*min equal to it
+CORE_WORDS = [Word((3, 4, 5, 6) * 1024), Word((2, 3, 4) * 1365 + (2,))]
+
+
+@pytest.mark.parametrize("w", CORE_WORDS, ids=["3-6", "2-4"])
+def test_core_words_at_the_ceiling_agree(w):
+    assert len(w) == MAX_WITNESS_LENGTH
+    assert is_kunz(w) and violations(w) == []
+
+
+def test_core_words_skip_the_interval_scan(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("interval scan ran")
+
+    monkeypatch.setattr(semigroups, "_letter_bounds", refuse)
+    for w in CORE_WORDS + [Word(()), Word((1,)), Word((2, 1, 2))]:
+        assert is_kunz(w)
+        m = len(w) + 1
+        from_apery((0,) + tuple(u * m + i for i, u in enumerate(w, start=1)))
+    # a word off the core still runs the scan
+    with pytest.raises(AssertionError, match="interval scan ran"):
+        is_kunz(Word((1, 3)))
 
 
 def test_violation_json():
