@@ -4,7 +4,8 @@ replays of the classification experiments.
 K_q is the set of Kunz words over {1,...,q} whose largest letter is
 exactly q.  For q <= 2 the language is regular, {1}+ and {1,2}*2{1,2}*:
 tiny machines below recognize it, and the census lists and counts it in
-closed form.  For q >= 3 no finite automaton can: this module produces
+closed form; it counts K_3 over the sets of its words' 1-positions.
+For q >= 3 no finite automaton can recognize K_q: this module produces
 the concrete distinguishability and pumping evidence for that, one
 finite, re-checkable certificate at a time.
 """
@@ -12,6 +13,7 @@ finite, re-checkable certificate at a time.
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from math import comb
 from typing import Iterator, Mapping
 
@@ -27,7 +29,14 @@ from .errors import (
     _shown,
 )
 from .semigroups import _letter_bounds
-from .words import Word, _check_length, is_kunz, witness_kunz, witness_nonkunz
+from .words import (
+    Word,
+    _check_length,
+    _set_letters,
+    is_kunz,
+    witness_kunz,
+    witness_nonkunz,
+)
 
 DEFAULT_CANDIDATE_CEILING = 10_000_000
 # Largest nerode_evidence run, in letter pairs: comb(cutoff, 2)
@@ -100,27 +109,31 @@ def in_kunz_language(word: Word, q: int) -> bool:
     return word.depth == q and is_kunz(word)
 
 
-def _check_census(q: int, length: int, max_candidates: int) -> None:
+def _check_census(q: int, length: int, max_candidates: int, *,
+                  by_subsets: bool = False) -> None:
     """Argument and ceiling checks shared by the two census functions.
-    The census covers at most q**length candidate words, and a walk
-    costs O(length**2) interval work even on one word, so either count
-    over max_candidates refuses the cell.  Both apply at q <= 2 too,
-    where the answer is in closed form and no walk runs.  A ceiling
-    below 1 is refused before any cell is looked at."""
+    The walk covers at most q**length candidate words, and costs
+    O(length**2) interval work even on one word, so either count over
+    max_candidates refuses the cell.  Both apply at q <= 2 too, where the
+    answer is in closed form and no walk runs.  count_kunz at q = 3 passes
+    by_subsets: it makes one _k3_subsets call per set of 1-positions and
+    no interval call, so its one charge is those 2**length sets.  A
+    ceiling below 1 is refused before any cell is looked at."""
     if q < 0 or length < 0:
         raise DomainError("depth and length must be nonnegative")
     _check_at_least_one(max_candidates, "the candidate ceiling")
     if not q:  # K_0 is the empty word alone, so its cells are never refused
         return
-    # q**length >= 2**length for q >= 2, so capping the exponent past both
-    # 64 and the ceiling's bit length keeps the verdict and the message
-    # and never builds a number of length bits
-    candidates = q ** min(length, max(64, max_candidates.bit_length() + 1))
-    if candidates > max_candidates:
+    base, unit = (2, "sets of 1-positions") if by_subsets else (q, "candidate words")
+    # base**length >= 2**length for base >= 2, so capping the exponent past
+    # both 64 and the ceiling's bit length keeps the verdict and the
+    # message and never builds a number of length bits
+    charge = base ** min(length, max(64, max_candidates.bit_length() + 1))
+    if charge > max_candidates:
         raise ResourceBound(
-            f"{_shown(candidates)} candidate words exceed the ceiling {max_candidates}"
+            f"{_shown(charge)} {unit} exceed the ceiling {max_candidates}"
         )
-    if length**2 > max_candidates:
+    if not by_subsets and length**2 > max_candidates:
         raise ResourceBound(
             f"length {_shown(length)} needs {_shown(length**2)} interval steps,"
             f" over the ceiling {max_candidates}"
@@ -199,6 +212,28 @@ def _last_letters(q: int, length: int) -> Iterator[tuple[list[int], int, list[ra
             return
 
 
+def _k3_subsets(length: int, bits: int, mask: int, sums: int, top: int) -> int:
+    """The sum of 2**(length - f(A)) over the sets A of 1-positions that
+    add positions above top to the set in mask, whose largest is top (0
+    for the empty set); f(A) counts the positions of [1, length] in A or
+    A + A (see count_kunz).  mask has bit i for each i in the set, sums
+    bit i + j for each pair of them up to length, and bits =
+    2**(length+1) - 1 clears the sums past it.  One call per set."""
+    total = 1 << length - (mask | sums).bit_count()
+    for x in range(top + 1, length + 1):
+        joined = mask | 1 << x
+        total += _k3_subsets(length, bits, joined, (sums | joined << x) & bits, x)
+    return total
+
+
+def _words(letters: list[tuple[int, ...]]) -> list[Word]:
+    """Words of letter tuples valid by construction, with no Python-level
+    call per word: bare objects, then the letters slot's setter."""
+    words = list(map(object.__new__, itertools.repeat(Word, len(letters))))
+    deque(map(_set_letters, words, letters), maxlen=0)
+    return words
+
+
 def enumerate_kunz(
     q: int,
     length: int,
@@ -215,8 +250,10 @@ def enumerate_kunz(
     position leave open (see semigroups._letter_bounds), so every dead
     prefix is cut as soon as it is placed.  It stops two letters short
     and lists the last two from one set of bounds per prefix (see
-    _last_letters).  The ceiling applies to all q**length candidates and
-    to the length**2 interval work (see _check_census), at every q.
+    _last_letters).  Both paths yield letters in [1, q] by construction,
+    so the words are built in bulk, without Word's letter check.  The
+    ceiling applies to all q**length candidates and to the length**2
+    interval work (see _check_census), at every q.
     """
     _check_census(q, length, max_candidates)
     if q == 0 or length < 2:
@@ -225,26 +262,42 @@ def enumerate_kunz(
     if q <= 2:
         # 1^length comes first, and is in K_q at q = 1 alone
         words = itertools.product(range(1, q + 1), repeat=length)
-        return list(map(Word, itertools.islice(words, q - 1, None)))
-    out = []
+        return _words(list(itertools.islice(words, q - 1, None)))
+    letters = []
     for u, x_lo, ys in _last_letters(q, length):
         head = tuple(u[:length - 2])
         for x, last in enumerate(ys, x_lo):
             stem = head + (x,)
-            out.extend(Word(stem + (y,)) for y in last)
-    return out
+            letters.extend([stem + (y,) for y in last])
+    return _words(letters)
 
 
 def count_kunz(q: int, length: int, *, max_candidates: int = DEFAULT_CANDIDATE_CEILING) -> int:
-    """len(enumerate_kunz(q, length)), building no words: q**length -
-    (q-1)**length at q <= 2, the words over {1..q} that hold a q, and
-    from q = 3 on by the same walk, each prefix adding the sizes of its
-    last intervals.  The ceiling is enumerate_kunz's."""
-    _check_census(q, length, max_candidates)
+    """len(enumerate_kunz(q, length)), building no words.
+
+    At q <= 2 it is q**length - (q-1)**length, the words over {1..q} that
+    hold a q.  At q = 3 the second Kunz condition cannot fail, since
+    u_i + u_j + 1 >= 3, and the first fails only where u_i = u_j = 1 and
+    u_{i+j} = 3.  So given the set A of 1-positions, the other positions
+    of A + A must hold 2 and the rest are free in {2, 3}:
+
+        count_kunz(3, l) = sum over A in [1, l] of 2**(l - f(A)) - 2**l,
+
+    where f(A) counts the positions of [1, l] in A or A + A, and the last
+    term removes each A's one word that holds no 3.  _k3_subsets adds
+    the terms depth first, one call per set, and the ceiling charges
+    those 2**l sets in place of the walk's 3**l candidates and l**2
+    interval steps (see _check_census).  From q = 4 on the count takes
+    enumerate_kunz's walk and ceiling, each prefix adding the sizes of
+    its last intervals.
+    """
+    _check_census(q, length, max_candidates, by_subsets=q == 3)
     if q == 0 or length < 2:
         return int((q == 0) == (length == 0))
     if q <= 2:
         return q**length - (q - 1) ** length
+    if q == 3:
+        return _k3_subsets(length, (2 << length) - 1, 0, 0, 0) - (1 << length)
     return sum(sum(map(len, ys)) for _, _, ys in _last_letters(q, length))
 
 

@@ -80,6 +80,10 @@ class Word(Value):
         return Word(self.letters + other.letters)
 
 
+# the letters slot's own setter, which Frozen.__setattr__ does not guard
+_set_letters = Word.letters.__set__
+
+
 class Violation(Value):
     """One failed Kunz condition, in 1-based index terms.
 

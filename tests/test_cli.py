@@ -112,6 +112,14 @@ def test_enumerate_count_only_csv(capsys):
     assert out.splitlines() == ["q,length,count", "2,3,7"]
 
 
+def test_enumerate_counts_k3_past_the_listing_ceiling(capsys):
+    # 3^15 candidate words would be refused, but the count visits 2^15 sets
+    code, out, _ = run_cli(capsys, "enumerate", "--depth", "3",
+                           "--length", "15", "--count-only")
+    assert code == 0
+    assert out.splitlines() == ["q,length,count", "3,15,2561984"]
+
+
 def test_enumerate_words(capsys):
     code, out, _ = run_cli(capsys, "enumerate", "--depth", "3", "--length", "2")
     assert code == 0

@@ -19,6 +19,7 @@ from kunzlab import (
     dfa_k1,
     dfa_k2,
     enumerate_kunz,
+    enumerate_semigroups,
     in_kunz_language,
     is_kunz,
     mark_for_refutation,
@@ -150,13 +151,14 @@ def test_regular_census_needs_no_walk(monkeypatch):
     with pytest.raises(ResourceBound, match="length 101 needs 10201 interval steps"):
         enumerate_kunz(1, 101, max_candidates=10_000)
     with pytest.raises(AssertionError, match="census walked"):
-        count_kunz(3, 3)
+        enumerate_kunz(3, 3)
 
 
 @pytest.mark.parametrize("cell,nodes", [((5, 9), 29_538), ((3, 12), 34_855)])
 def test_census_node_count_is_pinned(monkeypatch, cell, nodes):
-    # one _letter_bounds call per prefix of length up to l-2, and one
-    # walk serves both census functions
+    # one _letter_bounds call per prefix of length up to l-2; one walk
+    # serves both census functions, except that K_3 is counted over its
+    # sets of 1-positions with no interval call
     calls = 0
     letter_bounds = languages._letter_bounds
 
@@ -166,10 +168,63 @@ def test_census_node_count_is_pinned(monkeypatch, cell, nodes):
         return letter_bounds(*args)
 
     monkeypatch.setattr(languages, "_letter_bounds", counted)
-    for census in (count_kunz, enumerate_kunz):
+    for census, walked in ((count_kunz, cell[0] != 3), (enumerate_kunz, True)):
         calls = 0
         census(*cell)
-        assert calls == nodes
+        assert calls == (nodes if walked else 0)
+
+
+def k3_walk_count(length):
+    """count_kunz(3, length) as the walk counts it, from l = 2 on."""
+    return sum(sum(map(len, ys)) for _, _, ys in languages._last_letters(3, length))
+
+
+@pytest.mark.parametrize("length", range(2, 15))
+def test_k3_count_matches_the_walk(length):
+    assert count_kunz(3, length) == k3_walk_count(length)
+
+
+def test_k3_count_matches_the_gap_set_census():
+    # semigroups of multiplicity m and depth exactly 3, m = 2..10
+    depth3 = Counter(s.multiplicity for s in enumerate_semigroups(10, 3)
+                     if s.depth == 3)
+    want = [1, 4, 15, 44, 138, 372, 1087, 2841, 7931]
+    assert [depth3[m] for m in range(2, 11)] == want
+    assert [count_kunz(3, m - 1) for m in range(2, 11)] == want
+
+
+def test_k3_count_charges_one_node_per_set_of_1_positions(monkeypatch):
+    calls = 0
+    subsets = languages._k3_subsets
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return subsets(*args)
+
+    monkeypatch.setattr(languages, "_k3_subsets", counted)
+    # 2^10 sets: answered at a ceiling of 1024, with one call per set
+    assert count_kunz(3, 10, max_candidates=1024) == k3_walk_count(10)
+    assert calls == 1024
+    # no interval charge: the walk's l^2 = 9 would refuse (3, 3) at 8
+    assert count_kunz(3, 3, max_candidates=8) == k3_walk_count(3)
+    # the default ceiling of 10^7 answers (3, 16), 3^16 candidates
+    assert count_kunz(3, 16) == 6_388_226
+    # one less is refused before any set is visited
+    calls = 0
+    with pytest.raises(ResourceBound,
+                       match="^1024 sets of 1-positions exceed the ceiling 1023$"):
+        count_kunz(3, 10, max_candidates=1023)
+    with pytest.raises(ResourceBound,
+                       match="^16777216 sets of 1-positions exceed the ceiling 10000000$"):
+        count_kunz(3, 24)
+    with pytest.raises(ResourceBound, match=r"^2\^64 or more sets of 1-positions"):
+        count_kunz(3, 10**12)
+    assert calls == 0
+    # listing K_3 keeps the walk's ceiling
+    with pytest.raises(ResourceBound,
+                       match="^14348907 candidate words exceed the ceiling 10000000$"):
+        enumerate_kunz(3, 15)
 
 
 def test_enumerate_resource_bound():
