@@ -40,10 +40,14 @@ from .words import (
 
 DEFAULT_CANDIDATE_CEILING = 10_000_000
 # Largest nerode_evidence run, in letter pairs: comb(cutoff, 2)
-# separations, each scanning words of length up to l = (q-1)*cutoff + 1
-# in O(l^2).  Measured (2-CPU VM, Python 3.11, best of 3), (q, cutoff):
-# (3, 79) is 7.8e7 pairs in 1.3 s, (5, 59) 9.6e7 in 0.4 s, (12, 36)
-# 9.9e7 in 0.2 s, and (3, 100), over the ceiling, 2.0e8 in 2.6 s.
+# separations, each scanning words of length up to l = (q-1)*cutoff + 1,
+# O(l^2) for the interval scan.  The probe words hold q distinct letters,
+# so is_kunz decides them by products.  Measured (2-CPU VM, Python 3.11,
+# best of 3), (q, cutoff): (3, 79) is 7.8e7 pairs in 0.12 s (0.96 s on
+# the interval scan), (5, 59) 9.6e7 in 0.05 s (0.24 s), (12, 36) 9.9e7
+# in 0.03 s (0.10 s), and (3, 100), over the ceiling, 2.0e8 in 0.13 s
+# (2.2 s).  The ceiling stays: it counts what the Theta(l^2) fallback
+# would do, which is what words with many distinct letters still cost.
 MAX_NERODE_PAIRS = 100_000_000
 
 
@@ -226,6 +230,14 @@ def _k3_subsets(length: int, bits: int, mask: int, sums: int, top: int) -> int:
     return total
 
 
+def _word(letters: tuple[int, ...]) -> Word:
+    """A Word of a letter tuple valid by construction, such as a slice of
+    another Word's letters, without Word's letter check."""
+    word = object.__new__(Word)
+    _set_letters(word, letters)
+    return word
+
+
 def _words(letters: list[tuple[int, ...]]) -> list[Word]:
     """Words of letter tuples valid by construction, with no Python-level
     call per word: bare objects, then the letters slot's setter."""
@@ -340,9 +352,10 @@ def nerode_evidence(q: int, cutoff: int) -> NerodeReport:
     leading block and breaks the first Kunz condition.  Every separation
     is re-verified through the membership scan before being reported, so
     the report doubles as a machine-checked lower bound: more than
-    ``cutoff`` accepter states are needed at this cutoff.  ResourceBound,
-    up front, when that scanning would exceed MAX_NERODE_PAIRS letter
-    pairs.
+    ``cutoff`` accepter states are needed at this cutoff.  The probe
+    words are cut from the witness's letters, so Word's letter check is
+    skipped.  ResourceBound, up front, when that scanning would exceed
+    MAX_NERODE_PAIRS letter pairs.
     """
     if q < 3:
         raise DomainError("K_0, K_1, K_2 are regular; need q >= 3")
@@ -357,10 +370,10 @@ def nerode_evidence(q: int, cutoff: int) -> NerodeReport:
     separations = []
     for i in range(1, cutoff):
         witness = witness_kunz(q, i)
-        suffix = Word(witness.letters[i:])
+        suffix = _word(witness.letters[i:])
         member_i = in_kunz_language(witness, q)
         for j in range(i + 1, cutoff + 1):
-            member_j = in_kunz_language(Word((1,) * j + suffix.letters), q)
+            member_j = in_kunz_language(_word((1,) * j + suffix.letters), q)
             if not member_i or member_j:
                 raise SelfCheckFailed(
                     f"separation for ({i}, {j}) failed re-verification"
@@ -406,11 +419,11 @@ class PositionMarking(Frozen):
 
 
 def pump(word: Word, decomposition: Decomposition, k: int) -> Word:
-    """u v^k x y^k z, sliced once from the word's letters; k = 1 gives the
-    word itself.  DomainError for k < 0, then ResourceBound, before
-    anything is built, when that word is longer than
-    words.MAX_WITNESS_LENGTH, then InvalidDecomposition for cuts past
-    the end of the word."""
+    """u v^k x y^k z, sliced once from the word's letters, which are not
+    checked again; k = 1 gives the word itself.  DomainError for k < 0,
+    then ResourceBound, before anything is built, when that word is
+    longer than words.MAX_WITNESS_LENGTH, then InvalidDecomposition for
+    cuts past the end of the word."""
     if k < 0:
         raise DomainError("pumping count must be >= 0")
     c1, c2, c3, c4 = decomposition.cuts
@@ -420,7 +433,7 @@ def pump(word: Word, decomposition: Decomposition, k: int) -> Word:
             f"cuts {decomposition.cuts} overrun a word of length {len(word)}"
         )
     w = word.letters
-    return Word(w[:c1] + w[c1:c2] * k + w[c2:c3] + w[c3:c4] * k + w[c4:])
+    return _word(w[:c1] + w[c1:c2] * k + w[c2:c3] + w[c3:c4] * k + w[c4:])
 
 
 class RefutationRecord(Frozen):

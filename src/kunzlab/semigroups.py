@@ -11,7 +11,7 @@ coordinates (Selmer), and the Kunz word is read off w, each in O(m) or
 less, whatever the conductor.  small_elements, gaps() and the wire form
 list the members or gaps below it on demand, in O(c), and alone refuse
 a conductor over MAX_CONDUCTOR.  Only from_apery and the small_elements
-constructor validate w, in O(m^2), so they first refuse m - 1 over
+constructor validate w, in O(m^2) at worst, so they first refuse m - 1 over
 MAX_WITNESS_LENGTH; from_generators, words.to_semigroup and
 enumerate_semigroups derive a valid w themselves and store it unchecked.
 """
@@ -21,8 +21,9 @@ from __future__ import annotations
 import heapq
 import math
 import operator
+from bisect import bisect_left, bisect_right
 from collections import deque
-from itertools import chain, product, repeat
+from itertools import chain, compress, count, product, repeat
 from typing import Iterable, Sequence
 
 from ._frozen import Value
@@ -31,10 +32,13 @@ from .errors import DomainError, NotCofinite, ResourceBound, _check_at_least_one
 DEFAULT_SEARCH_CEILING = 10_000_000
 # Largest conductor listed: small_elements, gaps() and the wire form are
 # O(c) reads, and listing the small elements of [1447, 1451]
-# (c = 2,096,700) at the ceiling takes about 0.2 s (2-CPU VM,
-# Python 3.11).  from_generators checks only the multiplicity against it,
-# since c >= m: shortest paths for m = 2**21 take 1.5-2.5 s at 128 MB.
+# (c = 2,096,700) at the ceiling takes about 0.08 s from the sieve
+# (0.25 s one integer at a time; 2-CPU VM, Python 3.11).
+# from_generators checks only the multiplicity against it, since c >= m:
+# shortest paths for m = 2**21 take 1.5-2.5 s at 128 MB.
 MAX_CONDUCTOR = 2**21
+# bytes.translate table that swaps 0 and 1: a member sieve to a gap sieve
+_FLIP = bytes((1, 0)) + bytes(254)
 
 
 class AperyData(Value):
@@ -90,12 +94,24 @@ def _letter_bounds(u: Sequence[int], p: int, length: int, q: int) -> tuple[int, 
 
 def _letters_in_bounds(u: Sequence[int]) -> bool:
     """True iff every letter of u, a sequence of positive integers, lies
-    in its _letter_bounds interval.  O(l) on the regular core,
-    2*min(u) >= max(u): every pair sum is >= 2*min(u) >= every letter,
-    so both conditions hold.  O(l^2) otherwise."""
+    in its _letter_bounds interval, i.e. u is a Kunz word.
+
+    O(l) on the regular core, 2*min(u) >= max(u): every pair sum is
+    >= 2*min(u) >= every letter, so both conditions hold.  Otherwise only
+    the pairs of letters a <= b with a + b < max(u) can fail, and when
+    _products_pay says their products cost less than the interval scan,
+    _sums_in_bounds decides u with one big-int product per pair.  Else
+    the interval scan, Theta(l^2): words with many distinct small
+    letters still take it.
+    """
     n, q = len(u), max(u, default=0)
     if 2 * min(u, default=0) >= q:
         return True
+    present = set(u)
+    if 2 * len(present) <= n and len(present) * n <= _MAX_MASK_SLOTS:
+        letters = sorted(present)
+        if _products_pay(letters, q, n):
+            return _sums_in_bounds(u, letters, q)
     for p in range(1, n + 1):
         lo, hi = _letter_bounds(u, p, n, q)
         if not lo <= u[p - 1] <= hi:
@@ -103,9 +119,91 @@ def _letters_in_bounds(u: Sequence[int]) -> bool:
     return True
 
 
+# Cost rule of the word-parallel scan.  One pair of letters costs about
+# as much as max(24, l**1.6 / 24) steps of the interval scan, which does
+# about l**2 steps.  Measured on a 2-CPU VM, Python 3.11, best of 5, on
+# the Kunz words of <l+1, g_2, .., g_e>, e = 3..10, g_i drawn from
+# (l+1, 2l+2): a pair cost as much as 27 interval steps at l = 50, 38 at
+# l = 100, 145 at l = 200, 630 at l = 400, 2,200 at l = 1,000 and 4,900
+# at l = 2,000; two dense masks at l = 4,096, 34,000.  Below l = 200 the
+# Python work per pair dominates, above it Karatsuba's ~l**1.585.  Block
+# words cost less, since each mask is trimmed to its letter's span.
+# Words with more distinct letters than half their length take the
+# interval scan before any count: such words off the core have far more
+# than l**2 / 24 pairs unless their letters crowd the top, and
+# construct-sized ones (l = 54 with 54 letters, 711 pairs) were 3-5
+# times slower on products.  The masks take one slot per position and
+# letter, so the product path also needs letters times length within
+# _MAX_MASK_SLOTS: 2**22 slots, 8.8 MB at peak for 1,024 letters at
+# l = 4,096.
+_MAX_MASK_SLOTS = 1 << 22
+
+
+def _products_pay(letters: Sequence[int], q: int, n: int) -> bool:
+    """True when the pairs a <= b of ``letters`` (sorted) with a + b < q
+    are few enough against n**2, by the cost rule above."""
+    pairs = 0
+    for i, a in enumerate(letters):
+        if 2 * a >= q:
+            break
+        pairs += bisect_left(letters, q - a, i) - i
+    return pairs * max(24, n**1.6 / 24) < n * n
+
+
+def _sums_in_bounds(u: Sequence[int], letters: Sequence[int], q: int) -> bool:
+    """The Kunz check by bit-parallelism (Baeza-Yates and Gonnet, 1992):
+    u's positions per letter as ints with one k-bit slot per position,
+    so that slot s of a product P_a * P_b counts the index pairs i + j = s
+    with u_i = a and u_j = b (Kronecker substitution).  A count is at most
+    l, and k = l.bit_length() + 1 rounded up to whole bytes, so no slot
+    carries into the next, and the masks are built with int.from_bytes.
+
+    For each pair a <= b of ``letters`` (the sorted distinct letters)
+    with a + b < q = max(u), the first condition fails iff the product
+    meets a full slot of a position holding a letter > a + b, and the
+    second iff the product shifted down by l + 1 slots meets one holding
+    a letter > a + b + 1.  Each mask is stored shifted down to its
+    letter's first position, so the block words multiply short ints.
+    O(l) to build the masks, one product per pair; the slot width does
+    not depend on the letters' size.
+    """
+    n = len(u)
+    width = (n.bit_length() + 8) // 8  # bytes per slot
+    k = 8 * width
+    buffers = {x: bytearray((n + 1) * width) for x in letters}
+    for p, x in enumerate(u, 1):
+        buffers[x][p * width] = 1
+    full = (1 << k) - 1
+    d = len(letters)
+    # above[r]: the full slots of the positions holding letters[r:]
+    above, masks, starts = [0] * (d + 1), [0] * d, [0] * d
+    for r in range(d - 1, -1, -1):
+        buffer = buffers.pop(letters[r])
+        starts[r] = start = buffer.index(1) // width
+        mask = int.from_bytes(buffer, "little")
+        above[r] = above[r + 1] | mask * full
+        masks[r] = mask >> k * start
+    shift = k * (n + 1)
+    for i, a in enumerate(letters):
+        if 2 * a >= q:
+            break
+        mask, start = masks[i], starts[i]
+        for j in range(i, bisect_left(letters, q - a, i)):
+            total = a + letters[j]
+            product = mask * masks[j] << k * (start + starts[j])
+            if product & above[bisect_right(letters, total)]:
+                return False
+            if product >> shift & above[bisect_right(letters, total + 1)]:
+                return False
+    return True
+
+
 # Longest word a Kunz scan runs on, m - 1 for an Apery tuple validated
-# here: the scans are O(l^2), and is_kunz takes about 0.6 s at l = 4,001
-# (2.7 s at 8,001; 2-CPU VM, Python 3.11).  Every caller of the witness
+# here.  is_kunz decides a word with few distinct letters by products in
+# milliseconds (witness_kunz(3, 2000): 0.8 ms), but one with many
+# distinct small letters still takes the Theta(l^2) interval scan:
+# about 0.6 s for 1, 2, .., 4001 (2.7 s for 1, .., 8001; 2-CPU VM,
+# Python 3.11), so the ceiling stays.  Every caller of the witness
 # families scans what it builds, and violations() can list Theta(l^2)
 # items: 1,001,000 on 1^2000 3^2000, at 194 MB peak RSS.
 MAX_WITNESS_LENGTH = 4096
@@ -215,21 +313,25 @@ class NumericalSemigroup(Value):
     def small_elements(self) -> tuple[int, ...]:
         """Members up to and including the conductor, ascending; O(c),
         built on each read."""
-        w = self._w
-        m = len(w)
-        return tuple(x for x in range(self._listed_conductor() + 1) if x >= w[x % m])
+        return tuple(compress(count(), self._sieve()))
 
     def gaps(self) -> list[int]:
-        w = self._w
-        m = len(w)
-        return [x for x in range(1, self._listed_conductor()) if x < w[x % m]]
+        return list(compress(count(), self._sieve().translate(_FLIP)))
 
-    def _listed_conductor(self) -> int:
-        """The conductor, or ResourceBound over MAX_CONDUCTOR before any listing."""
+    def _sieve(self) -> bytearray:
+        """Byte x is 1 iff x is a member, for x = 0 .. conductor: one
+        slice assignment per Apery element w[r], the members r + k*m from
+        w[r] on.  ResourceBound over MAX_CONDUCTOR before anything is built."""
         c = self.conductor
         if c > MAX_CONDUCTOR:
             raise ResourceBound(f"conductor {_shown(c)} is over the ceiling {MAX_CONDUCTOR}")
-        return c
+        w = self._w
+        m = len(w)
+        sieve = bytearray(c + 1)
+        for a in w:
+            if a <= c:
+                sieve[a::m] = b"\x01" * ((c - a) // m + 1)
+        return sieve
 
     @property
     def apery(self) -> AperyData:
@@ -273,7 +375,7 @@ def from_apery(values: Sequence[int]) -> NumericalSemigroup:
     """The semigroup whose Apery tuple is ``values``, for the multiplicity
     m = len(values).  DomainError unless the values are integers, checked
     first; then ResourceBound when m - 1 exceeds MAX_WITNESS_LENGTH, since
-    the validation is O(m^2); then DomainError unless values[0] is 0,
+    the validation is O(m^2) at worst; then DomainError unless values[0] is 0,
     values[i] = k*m + i with k >= 1 for 0 < i < m, and Kunz's
     inequalities hold (see _check_apery).  Any conductor is built."""
     w = tuple(values)

@@ -11,8 +11,11 @@ Kunz word of depth 0.
 
 Kunz words of length l are in bijection with numerical semigroups of
 multiplicity l + 1: the letters are exactly the Kunz coefficients of the
-Apery set.  Both directions of that bijection live here.  is_kunz and
-from_apery's validator share one check, semigroups._letters_in_bounds.
+Apery set.  Both directions of that bijection live here.  is_kunz,
+to_semigroup and from_apery's validator share one check,
+semigroups._letters_in_bounds: one big-int product per pair of letters
+that could fail a condition, or, on words with many distinct letters,
+the Theta(l^2) interval scan.
 """
 
 from __future__ import annotations
@@ -105,9 +108,9 @@ def is_kunz(word: Word) -> bool:
 def violations(word: Word) -> list[Violation]:
     """Every failed condition, ordered by (i, j).  Empty iff is_kunz.
 
-    A plain scan over all index pairs, kept apart from the interval
-    check in is_kunz so that each checks the other.  ResourceBound, up
-    front, for a word longer than MAX_WITNESS_LENGTH.
+    A plain scan over all index pairs, kept apart from is_kunz's
+    products and interval scan so that each checks the other.
+    ResourceBound, up front, for a word longer than MAX_WITNESS_LENGTH.
     """
     letters = word.letters
     n = len(letters)
@@ -168,8 +171,8 @@ def to_semigroup(word: Word) -> NumericalSemigroup:
     when the word fails the Kunz conditions (the bijection only covers
     Kunz words); that is the only check its Apery tuple gets.  Any
     conductor is built; only the semigroup's O(c) listings refuse one
-    over semigroups.MAX_CONDUCTOR.  ResourceBound, before the O(l^2)
-    scan, for a word longer than MAX_WITNESS_LENGTH.
+    over semigroups.MAX_CONDUCTOR.  ResourceBound, before the scan
+    (O(l^2) at worst), for a word longer than MAX_WITNESS_LENGTH.
     """
     _check_length(len(word), "a word")
     if not is_kunz(word):

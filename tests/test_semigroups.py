@@ -1,4 +1,6 @@
 import heapq
+import math
+import random
 from collections import Counter
 
 import pytest
@@ -15,6 +17,7 @@ from kunzlab import (
     from_generators,
     from_semigroup,
     to_semigroup,
+    witness_kunz,
 )
 from kunzlab import semigroups
 from kunzlab.semigroups import MAX_CONDUCTOR, MAX_WITNESS_LENGTH, from_apery
@@ -180,6 +183,40 @@ def test_small_elements_constructor_refuses_a_short_list_at_once(monkeypatch):
     # as many members as <2, 5> has up to its conductor 4, but not its own
     with pytest.raises(DomainError, match="every member up to the conductor 4 "):
         NumericalSemigroup((0, 2, 5), 5)
+
+
+def test_listings_match_the_membership_test():
+    # the sieved listings against the per-integer comprehensions they
+    # replace, on seeded generator sets of multiplicity 1..60
+    rng = random.Random(27)
+    sets = [NATURALS, from_generators([1]), from_generators([2, 3]),
+            from_generators([201, 203])]
+    while len(sets) < 80:
+        m = rng.randrange(1, 61)
+        gens = [m] + rng.sample(range(m + 1, 4 * m + 2), min(rng.randrange(1, 6), 3 * m))
+        if math.gcd(*gens) == 1:
+            sets.append(from_generators(gens))
+    for s in sets:
+        w, m, c = s.apery.values, s.multiplicity, s.conductor
+        assert s.small_elements == tuple(x for x in range(c + 1) if x >= w[x % m])
+        assert s.gaps() == [x for x in range(1, c) if x < w[x % m]]
+    assert NATURALS.small_elements == (0,) and NATURALS.gaps() == []
+
+
+def test_from_apery_validates_block_witnesses_by_products(monkeypatch):
+    # the depth-12 witness of multiplicity 4,094 passes from_apery's
+    # validator, and one letter raised fails it, with no interval scan
+    def refuse(*args):
+        raise AssertionError("interval scan ran")
+
+    word = witness_kunz(12, 372)
+    m = len(word) + 1
+    values = [0] + [u * m + i for i, u in enumerate(word.letters, 1)]
+    monkeypatch.setattr(semigroups, "_letter_bounds", refuse)
+    assert from_apery(values) == to_semigroup(word)
+    values[2 * 372] += m  # u_744 from 2 to 3, over u_372 + u_372
+    with pytest.raises(DomainError, match="Kunz's inequalities fail"):
+        from_apery(values)
 
 
 def test_from_apery_checks_its_precondition():

@@ -1,4 +1,6 @@
 import itertools
+import math
+import random
 
 import pytest
 
@@ -92,21 +94,35 @@ def test_violations_sorted_and_consistent():
         assert (vs == []) == is_kunz(w)
 
 
+def products_scan(w):
+    """The word-parallel scan alone, whatever its cost rule would pick."""
+    u = w.letters
+    if 2 * min(u, default=0) >= max(u, default=0):
+        return True
+    return semigroups._sums_in_bounds(u, sorted(set(u)), max(u))
+
+
+def assert_checks_agree(w):
+    """is_kunz (whichever path it takes), the product scan forced,
+    violations (pair scan), the definition in conftest and from_apery's
+    validator on the matching Apery tuple decide w alike; returns the
+    verdict."""
+    ok = kunz_tuple_ok(w.letters)
+    assert is_kunz(w) == products_scan(w) == (not violations(w)) == ok, w
+    m = len(w) + 1
+    values = (0,) + tuple(u * m + i for i, u in enumerate(w, start=1))
+    try:
+        from_apery(values)
+    except DomainError:
+        assert not ok, w
+    else:
+        assert ok, w
+    return ok
+
+
 def test_interval_check_scan_and_definition_agree():
-    # is_kunz (per-letter intervals), violations (pair scan), the
-    # definition in conftest and from_apery's validator on the matching
-    # Apery tuple decide every short word alike
     for w in all_words(range(1, 6), 6):
-        ok = kunz_tuple_ok(w.letters)
-        assert is_kunz(w) == (not violations(w)) == ok
-        m = len(w) + 1
-        values = (0,) + tuple(u * m + i for i, u in enumerate(w, start=1))
-        try:
-            from_apery(values)
-        except DomainError:
-            assert not ok
-        else:
-            assert ok
+        assert_checks_agree(w)
 
 
 # the regular core, 2*min >= max, at the length ceiling: one word with
@@ -132,6 +148,97 @@ def test_core_words_skip_the_interval_scan(monkeypatch):
     # a word off the core still runs the scan
     with pytest.raises(AssertionError, match="interval scan ran"):
         is_kunz(Word((1, 3)))
+
+
+def test_word_parallel_scan_agrees_on_every_short_word():
+    # every word of length <= 8 over {1..4}: 87,381 words, both verdicts
+    assert {assert_checks_agree(w) for w in all_words(range(1, 5), 8)} == {True, False}
+
+
+def few_letter_kunz_words():
+    """Kunz words of length 499..4,096 with up to ten distinct letters,
+    interleaved (from <m, g_2, .., g_e>, g_i drawn from (m, 2m)) and in
+    blocks (the witness families)."""
+    rng = random.Random(27)
+    words = []
+    for m in (500, 1001, 2000, 4097):
+        while True:
+            gens = [m] + rng.sample(range(m + 1, 2 * m), 7)
+            if math.gcd(*gens) == 1:
+                break
+        words.append(from_semigroup(from_generators(gens)))
+    return words + [witness_kunz(3, 2047), witness_kunz(5, 1023), witness_kunz(12, 372)]
+
+
+@pytest.mark.parametrize("w", few_letter_kunz_words(), ids=lambda w: f"l{len(w)}d{w.depth}")
+def test_word_parallel_scan_on_long_words(w, monkeypatch):
+    # each word, Kunz by construction, and two one-letter perturbations of
+    # it: is_kunz on the product path, never the interval scan, against
+    # the definition (which stops at the first failure)
+    def refuse(*args):
+        raise AssertionError("interval scan ran")
+
+    rng = random.Random(len(w))
+    near = []
+    for _ in range(2):
+        letters = list(w.letters)
+        p = rng.randrange(len(letters))
+        letters[p] += rng.choice((-1, 1)) if letters[p] > 1 else 1
+        near.append(Word(letters))
+    monkeypatch.setattr(semigroups, "_letter_bounds", refuse)
+    verdicts = [is_kunz(v) for v in [w] + near]
+    monkeypatch.undo()
+    assert verdicts == [True] + [kunz_tuple_ok(v.letters) for v in near]
+
+
+def test_word_parallel_scan_gives_both_verdicts_on_perturbed_witnesses():
+    # one letter of a block witness raised or lowered: both verdicts
+    # occur, and every check agrees on each
+    w = witness_kunz(5, 125)
+    verdicts = []
+    for p in range(0, len(w), 50):
+        for delta in (-1, 1):
+            letters = list(w.letters)
+            letters[p] = max(1, letters[p] + delta)
+            verdicts.append(assert_checks_agree(Word(letters)))
+    assert True in verdicts and False in verdicts
+
+
+def test_slot_width_ignores_letter_size(monkeypatch):
+    # block witnesses scaled by 10**30 stay Kunz, and raising u_2n by 1
+    # breaks them (u_n + u_n = 2*big < u_2n); the scan takes the product
+    # path at both lengths
+    def refuse(*args):
+        raise AssertionError("interval scan ran")
+
+    big = 10**30
+    long = Word(tuple(big * u for u in witness_kunz(3, 2000).letters))
+    short = Word(tuple(big * u for u in witness_kunz(4, 20).letters))
+    words = []
+    for w, n in ((long, 2000), (short, 20)):
+        letters = list(w.letters)
+        letters[2 * n - 1] += 1
+        words += [w, Word(letters)]
+    monkeypatch.setattr(semigroups, "_letter_bounds", refuse)
+    assert [is_kunz(w) for w in words] == [True, False, True, False]
+    monkeypatch.undo()
+    assert violations(words[2]) == []
+    assert violations(words[3]) == [Violation("first", 20, 20, 40)]
+
+
+def test_dispatch_by_distinct_letters(monkeypatch):
+    calls = []
+    letter_bounds = semigroups._letter_bounds
+
+    def counted(*args):
+        calls.append(args[1])
+        return letter_bounds(*args)
+
+    monkeypatch.setattr(semigroups, "_letter_bounds", counted)
+    # 12 letters over 4,093 positions: products only
+    assert is_kunz(witness_kunz(12, 372)) and calls == []
+    # one distinct letter per position: the interval scan, every position
+    assert is_kunz(Word(range(1, 55))) and calls == list(range(1, 55))
 
 
 def test_violation_json():
