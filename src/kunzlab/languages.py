@@ -410,11 +410,15 @@ class PositionMarking(Frozen):
     __slots__ = ("distinguished", "excluded")
 
     def __init__(self, distinguished: frozenset[int], excluded: frozenset[int]):
-        if distinguished & excluded:
-            raise DomainError("distinguished and excluded positions overlap")
-        for pos in distinguished | excluded:
+        for pos in itertools.chain(distinguished, excluded):
+            # exactly int, as Decomposition's cuts: 1.5 matches no position,
+            # and True == 1, so a union or the overlap below would merge it
+            if type(pos) is not int:
+                raise DomainError(f"position {pos!r} is not an integer")
             if pos < 1:
                 raise DomainError("positions are 1-based")
+        if distinguished & excluded:
+            raise DomainError("distinguished and excluded positions overlap")
         super().__init__(distinguished, excluded)
 
 

@@ -12,7 +12,8 @@ less, whatever the conductor.  small_elements, gaps() and the wire form
 list the members or gaps below it on demand, in O(c), and alone refuse
 a conductor over MAX_CONDUCTOR.  Only from_apery and the small_elements
 constructor validate w, in O(m^2) at worst, so they first refuse m - 1 over
-MAX_WITNESS_LENGTH; from_generators, words.to_semigroup and
+MAX_WITNESS_LENGTH; the constructor then counts its input, listing none,
+in O(input + m^2) in all.  from_generators, words.to_semigroup and
 enumerate_semigroups derive a valid w themselves and store it unchecked.
 """
 
@@ -242,9 +243,9 @@ class NumericalSemigroup(Value):
     """A numerical semigroup, stored as its Apery tuple alone; equality
     and hash are those of the tuple.
 
-    The constructor converts from the members up to the conductor;
-    from_apery, from_generators and words.to_semigroup build from the
-    Apery tuple directly.
+    The constructor converts from the members up to the conductor, in
+    O(input + m^2) with no listing; from_apery, from_generators and
+    words.to_semigroup build from the Apery tuple directly.
     """
 
     __slots__ = ("_w",)
@@ -263,11 +264,10 @@ class NumericalSemigroup(Value):
         w = _apery_values(small, conductor + 1, m)
         _check_apery(w)
         super().__init__(w)
-        # no ceiling: the c + 1 - genus members are counted, then compared
-        # one by one, each at most m past the last, in O(m * len(small))
-        listed = filter(self.contains, range(self.conductor + 1))
-        if (self.conductor + 1 - self.genus != len(small)
-                or any(map(operator.ne, listed, small))):
+        # each listed x is >= w[x mod m], so a distinct member of S up to
+        # the conductor; with the conductor S's own, they are all its
+        # c + 1 - genus members there iff there are that many: no listing
+        if self.conductor != conductor or conductor + 1 - self.genus != len(small):
             raise DomainError(
                 "small_elements must be every member up to the conductor"
                 f" {self.conductor} of the semigroup they generate"

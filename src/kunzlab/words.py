@@ -80,6 +80,8 @@ class Word(Value):
         return ",".join(str(u) for u in self.letters)
 
     def __add__(self, other: "Word") -> "Word":
+        if not isinstance(other, Word):
+            return NotImplemented
         return Word(self.letters + other.letters)
 
 

@@ -367,6 +367,13 @@ def test_pump_validation():
         PositionMarking(distinguished=frozenset({1}), excluded=frozenset({1, 2}))
     with pytest.raises(DomainError, match="1-based"):
         PositionMarking(distinguished=frozenset({0}), excluded=frozenset())
+    # exactly int, as the cuts above: 1.5 matches no position, True == 1
+    for bad in (1.5, True, 2.0, "3"):
+        message = re.escape(f"position {bad!r} is not an integer")
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            PositionMarking(distinguished=frozenset({bad}), excluded=frozenset())
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            PositionMarking(distinguished=frozenset({1}), excluded=frozenset({bad}))
     with pytest.raises(DomainError, match="each of 2..5"):
         mark_for_refutation(Word((1, 2, 3, 5)), 5)  # no 4
 

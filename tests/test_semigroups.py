@@ -164,15 +164,16 @@ def test_two_generators_over_the_ceiling_match_sylvester():
 
 
 def test_small_elements_constructor_lists_past_the_ceiling():
-    # its input is O(c) already, so its own cross-check must not refuse
+    # its check counts the input and lists nothing, so no conductor
+    # ceiling applies; a sparse input can reach c = m * (len - 1)
     evens = range(0, MAX_CONDUCTOR + 3, 2)
     s = NumericalSemigroup(evens, MAX_CONDUCTOR + 2)
     assert s == from_apery((0, MAX_CONDUCTOR + 3))
 
 
 def test_small_elements_constructor_refuses_a_short_list_at_once(monkeypatch):
-    # three members cannot be every member up to a conductor of 10^9: the
-    # count is refused before the scan over the integers below it
+    # three members cannot be every member up to a conductor of 10^9:
+    # refused by their count, with no membership test
     def no_scan(self, x):
         raise AssertionError("scanned the integers up to the conductor")
 
@@ -183,6 +184,53 @@ def test_small_elements_constructor_refuses_a_short_list_at_once(monkeypatch):
     # as many members as <2, 5> has up to its conductor 4, but not its own
     with pytest.raises(DomainError, match="every member up to the conductor 4 "):
         NumericalSemigroup((0, 2, 5), 5)
+
+
+def test_small_elements_constructor_needs_no_listing(monkeypatch):
+    # checked by count, in O(len + m^2): no membership test per integer
+    # up to the conductor and no sieve, dense or sparse input alike
+    small = from_generators([997, 1009]).small_elements
+    k = 1000
+    multiples = range(0, k * 4097 + 1, 4097)
+
+    def no_listing(*args):
+        raise AssertionError("listed the integers up to the conductor")
+
+    monkeypatch.setattr(NumericalSemigroup, "contains", no_listing)
+    monkeypatch.setattr(NumericalSemigroup, "_sieve", no_listing)
+    assert NumericalSemigroup(small, 1003968) == from_generators([997, 1009])
+    evens = range(0, MAX_CONDUCTOR + 3, 2)
+    assert NumericalSemigroup(evens, MAX_CONDUCTOR + 2) == from_apery((0, MAX_CONDUCTOR + 3))
+    assert NumericalSemigroup(multiples, k * 4097) == from_apery(
+        (0, *range(k * 4097 + 1, k * 4097 + 4097)))
+    # one multiple short of every member up to the same conductor
+    with pytest.raises(DomainError, match=f"every member up to the conductor {k * 4097} "):
+        NumericalSemigroup([x for x in multiples if x != 500 * 4097], k * 4097)
+
+
+def assert_small_elements_oracle_agrees(top):
+    """The constructor accepts t = (0, ..) within [0, top] with conductor
+    c = t[-1] iff t is every member up to c of the monoid t and
+    [c + 1, 2c + 1] generate, and c - 1 is not one of them; it refuses
+    every other t with a DomainError.  Returns the number accepted."""
+    accepted = 0
+    for bits in range(1 << top):
+        t = (0, *(x for x in range(1, top + 1) if bits >> (x - 1) & 1))
+        c = t[-1]
+        members = naive_members(set(t) | set(range(c + 1, 2 * c + 2)), c)
+        if sorted(members) == list(t) and (c == 0 or c - 1 not in members):
+            assert NumericalSemigroup(t, c).small_elements == t
+            accepted += 1
+        else:
+            with pytest.raises(DomainError):
+                NumericalSemigroup(t, c)
+    return accepted
+
+
+def test_small_elements_constructor_matches_closure_oracle():
+    # every ascending tuple from 0 within [0, 12], its last element as
+    # the conductor; [0, 16] by hand: 65,536 tuples, 580 accepted
+    assert assert_small_elements_oracle_agrees(12) == 131
 
 
 def test_listings_match_the_membership_test():

@@ -64,6 +64,17 @@ def test_word_stores_a_tuple(letters):
     assert is_kunz(word)
 
 
+def test_word_concatenation():
+    assert Word((1, 2)) + Word((3,)) == Word((1, 2, 3))
+    assert Word(()) + Word(()) == Word(())
+    # a tuple is not a Word: Python's TypeError, not an AttributeError
+    for other in ((2,), [2], 2, "2"):
+        with pytest.raises(TypeError, match="unsupported operand"):
+            Word((1,)) + other
+    with pytest.raises(TypeError):
+        (2,) + Word((1,))
+
+
 def test_word_keeps_a_given_tuple():
     letters = (1, 2, 3)
     assert Word(letters).letters is letters
