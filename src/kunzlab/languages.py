@@ -13,9 +13,11 @@ finite, re-checkable certificate at a time.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from collections import deque
 from math import comb
-from typing import Iterator, Mapping
+from operator import sub
+from typing import Iterable, Iterator, Mapping
 
 from ._frozen import Frozen
 from .errors import (
@@ -40,14 +42,14 @@ from .words import (
 
 DEFAULT_CANDIDATE_CEILING = 10_000_000
 # Largest nerode_evidence run, in letter pairs: comb(cutoff, 2)
-# separations, each scanning words of length up to l = (q-1)*cutoff + 1,
-# O(l^2) for the interval scan.  The probe words hold q distinct letters,
-# so is_kunz decides them by products.  Measured (2-CPU VM, Python 3.11,
-# best of 3), (q, cutoff): (3, 79) is 7.8e7 pairs in 0.12 s (0.96 s on
-# the interval scan), (5, 59) 9.6e7 in 0.05 s (0.24 s), (12, 36) 9.9e7
-# in 0.03 s (0.10 s), and (3, 100), over the ceiling, 2.0e8 in 0.13 s
-# (2.2 s).  The ceiling stays: it counts what the Theta(l^2) fallback
-# would do, which is what words with many distinct letters still cost.
+# separations, each charged the pairs of a word of length up to
+# l = (q-1)*cutoff + 1, O(l^2) for the interval scan.  No run scans them:
+# every probe is an ascending block word, decided from its q block sizes
+# (_blocks_kunz) without being built.  So the ceiling charges work the
+# run does not do; it keeps its value until it charges a separation's
+# real cost.  Measured (2-CPU VM, Python 3.11, best of 5), (q, cutoff):
+# (3, 79) is 7.8e7 charged pairs in 0.011 s, (5, 59) 9.6e7 in 0.007 s,
+# (12, 36) 9.9e7 in 0.003 s.
 MAX_NERODE_PAIRS = 100_000_000
 
 
@@ -113,6 +115,39 @@ def in_kunz_language(word: Word, q: int) -> bool:
     return word.depth == q and is_kunz(word)
 
 
+def _blocks_kunz(sizes: tuple[int, ...]) -> bool:
+    """is_kunz of the ascending block word 1^n_1 2^n_2 ... q^n_q, read
+    off its sizes (n_1, ..., n_q), zeros allowed, building no word.
+
+    Let C(c) = n_1 + ... + n_c count the positions holding letters up to
+    c, and top be the largest letter present.  The word is Kunz iff
+
+        C(a) + C(b) <= C(a+b)  for all a, b >= 1 with a + b < top.
+
+    The second condition cannot fail on a nondecreasing word: its target
+    i + j - (l+1) is below i.  A failure of the first at positions i, j
+    holding a and b has i <= C(a), j <= C(b), C(a+b) < i + j, and
+    a + b < u_{i+j} <= top.  Conversely, if C(a+b) < C(a) + C(b) with
+    a + b < top, then C(a), C(b) >= 1, and the positions i = C(a) and
+    j = min(C(b), l - C(a)) fail: i + j is C(a) + C(b) or l, both above
+    C(a+b), which is below l, while u_i + u_j <= a + b.  By symmetry
+    b >= a suffices, so each a is one min over a slice of differences:
+    O(top^2) steps, and no Python-level call per pair."""
+    ends = list(itertools.accumulate(sizes, initial=0))  # ends[c] = C(c)
+    top = bisect_left(ends, ends[-1])
+    return all(min(map(sub, ends[2 * a:top], ends[a:top - a])) >= ends[a]
+               for a in range(1, (top + 1) // 2))
+
+
+def _check_ints(**values: int) -> None:
+    """DomainError for the first value that is not exactly an int: a
+    float or a bool (True == 1) would pass every comparison below and
+    reach the arithmetic, a count or a report."""
+    for name, value in values.items():
+        if type(value) is not int:
+            raise DomainError(f"{name} must be an integer, got {type(value).__name__}")
+
+
 def _check_census(q: int, length: int, max_candidates: int, *,
                   by_subsets: bool = False) -> None:
     """Argument and ceiling checks shared by the two census functions.
@@ -122,7 +157,9 @@ def _check_census(q: int, length: int, max_candidates: int, *,
     answer is in closed form and no walk runs.  count_kunz at q = 3 passes
     by_subsets: it makes one _k3_subsets call per set of 1-positions and
     no interval call, so its one charge is those 2**length sets.  A
-    ceiling below 1 is refused before any cell is looked at."""
+    ceiling below 1 is refused before any cell is looked at, and a depth
+    or length that is not an int before either."""
+    _check_ints(q=q, length=length)
     if q < 0 or length < 0:
         raise DomainError("depth and length must be nonnegative")
     _check_at_least_one(max_candidates, "the candidate ceiling")
@@ -350,13 +387,17 @@ def nerode_evidence(q: int, cutoff: int) -> NerodeReport:
     For i < j the suffix 2^i 3^i ... (q-1)^i q works: 1^i followed by it
     is the block witness word (in K_q), while 1^j followed by it pads the
     leading block and breaks the first Kunz condition.  Every separation
-    is re-verified through the membership scan before being reported, so
-    the report doubles as a machine-checked lower bound: more than
-    ``cutoff`` accepter states are needed at this cutoff.  The probe
-    words are cut from the witness's letters, so Word's letter check is
-    skipped.  ResourceBound, up front, when that scanning would exceed
-    MAX_NERODE_PAIRS letter pairs.
+    is re-verified before being reported, so the report doubles as a
+    machine-checked lower bound: more than ``cutoff`` accepter states are
+    needed at this cutoff.  Both probe words are ascending block words
+    whose largest letter is q, so each is decided from its block sizes
+    (i, i, ..., i, 1) and (j, i, ..., i, 1) by _blocks_kunz, and neither
+    is built; the suffix is cut once per i from the witness's letters,
+    so Word's letter check is skipped.  DomainError for a depth or cutoff
+    that is not an int, and ResourceBound, up front, when the probes
+    would cost over MAX_NERODE_PAIRS letter pairs to scan.
     """
+    _check_ints(q=q, cutoff=cutoff)
     if q < 3:
         raise DomainError("K_0, K_1, K_2 are regular; need q >= 3")
     if cutoff < 2:
@@ -369,11 +410,11 @@ def nerode_evidence(q: int, cutoff: int) -> NerodeReport:
         )
     separations = []
     for i in range(1, cutoff):
-        witness = witness_kunz(q, i)
-        suffix = _word(witness.letters[i:])
-        member_i = in_kunz_language(witness, q)
+        suffix = _word(witness_kunz(q, i).letters[i:])
+        rest = (i,) * (q - 2) + (1,)  # the sizes of 2 .. q, so both depths are q
+        member_i = _blocks_kunz((i,) + rest)
         for j in range(i + 1, cutoff + 1):
-            member_j = in_kunz_language(_word((1,) * j + suffix.letters), q)
+            member_j = _blocks_kunz((j,) + rest)
             if not member_i or member_j:
                 raise SelfCheckFailed(
                     f"separation for ({i}, {j}) failed re-verification"
@@ -405,11 +446,16 @@ class Decomposition(Frozen):
 
 
 class PositionMarking(Frozen):
-    """Disjoint sets of 1-based positions: distinguished and excluded."""
+    """Disjoint sets of 1-based positions: distinguished and excluded,
+    each stored as a frozenset of the collection given."""
 
     __slots__ = ("distinguished", "excluded")
 
-    def __init__(self, distinguished: frozenset[int], excluded: frozenset[int]):
+    def __init__(self, distinguished: Iterable[int], excluded: Iterable[int]):
+        try:
+            distinguished, excluded = frozenset(distinguished), frozenset(excluded)
+        except TypeError:
+            raise DomainError("positions must be collections of integers") from None
         for pos in itertools.chain(distinguished, excluded):
             # exactly int, as Decomposition's cuts: 1.5 matches no position,
             # and True == 1, so a union or the overlap below would merge it
@@ -424,10 +470,11 @@ class PositionMarking(Frozen):
 
 def pump(word: Word, decomposition: Decomposition, k: int) -> Word:
     """u v^k x y^k z, sliced once from the word's letters, which are not
-    checked again; k = 1 gives the word itself.  DomainError for k < 0,
-    then ResourceBound, before anything is built, when that word is
-    longer than words.MAX_WITNESS_LENGTH, then InvalidDecomposition for
-    cuts past the end of the word."""
+    checked again; k = 1 gives the word itself.  DomainError for a k that
+    is not an int or is below 0, then ResourceBound, before anything is
+    built, when that word is longer than words.MAX_WITNESS_LENGTH, then
+    InvalidDecomposition for cuts past the end of the word."""
+    _check_ints(k=k)
     if k < 0:
         raise DomainError("pumping count must be >= 0")
     c1, c2, c3, c4 = decomposition.cuts
@@ -519,20 +566,27 @@ def bader_moura_refute(
 
     Every decomposition satisfying 1-2 is enumerated and attacked with
     k = 0..k_max, counting a pumped word as outside K_q when it fails the
-    Kunz scan or its largest letter is not q.  Each distinct pumped word
-    is scanned once, and the records that pump to it share its first
-    copy.  If any decomposition survives, NoRefutation is raised
-    carrying the full report.
+    Kunz conditions or its largest letter is not q.  If any
+    decomposition survives, NoRefutation is raised carrying the full
+    report.
 
     By e(vy) = 0, v and y are spans, cut pairs (a, b) with no excluded
     position in a+1..b; sorted spans are paired, v before y, so records
     come in the order of their cut tuples.  The ceiling still counts all
-    C(l+4, 4) cut tuples of the length-l witness.
+    C(l+4, 4) cut tuples of the length-l witness.  A span holds no first
+    letter of a block, so v and y each lie inside one block, and a pumped
+    word is the witness's block sizes with those two changed by
+    (k-1)|v| and (k-1)|y|.  Each distinct size tuple is decided from the
+    sizes by _blocks_kunz, its largest letter is q iff its last size is
+    not 0, and pump builds its word once; the records that pump to it
+    share that copy.
 
     q = 3 and q = 4 are refused: pumping 2s cannot hurt a word whose
     letters never exceed 4, so this experiment is only meaningful from
-    q = 5 up.  A ``max_candidates`` below 1 is refused too.
+    q = 5 up.  A q, p or k_max that is not an int, and a
+    ``max_candidates`` below 1, are refused too.
     """
+    _check_ints(q=q, p=p, k_max=k_max)
     if q < 5:
         raise DomainError("the pumping experiment needs q >= 5")
     if p < 1:
@@ -564,7 +618,8 @@ def bader_moura_refute(
     )
     spans = [(a, b) for a in range(length + 1) for b in range(a, length + 1)
              if excl[a] == excl[b]]
-    seen = {}  # each distinct pumped word: its first copy and its reason
+    sizes = (n,) * (q - 1) + (1,)
+    seen = {}  # each distinct pumped word's sizes: its first copy and its reason
     records = []
     for v, y in itertools.combinations_with_replacement(spans, 2):
         (c1, c2), (c3, c4) = v, y
@@ -578,12 +633,18 @@ def bader_moura_refute(
         if d_vxy > p ** (e_vxy + 1):
             continue
         decomposition = Decomposition(v + y)
+        # v lies in block c1 // n and y in block c3 // n; an empty span
+        # changes nothing, and n >= 2 makes even the last cut's block < q
         for k in range(k_max + 1):
-            pumped = pump(word, decomposition, k)
-            if pumped not in seen:
-                seen[pumped] = pumped, ("not_kunz" if not is_kunz(pumped) else
-                                        "wrong_depth" if pumped.depth != q else None)
-            pumped, reason = seen[pumped]
+            pumped_sizes = list(sizes)
+            pumped_sizes[c1 // n] += (k - 1) * (c2 - c1)
+            pumped_sizes[c3 // n] += (k - 1) * (c4 - c3)
+            key = tuple(pumped_sizes)
+            if key not in seen:
+                seen[key] = pump(word, decomposition, k), (
+                    "not_kunz" if not _blocks_kunz(key) else
+                    "wrong_depth" if not key[-1] else None)
+            pumped, reason = seen[key]
             if reason:
                 break
         else:

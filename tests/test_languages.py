@@ -1,3 +1,5 @@
+import itertools
+import random
 import re
 from collections import Counter
 
@@ -25,12 +27,13 @@ from kunzlab import (
     mark_for_refutation,
     nerode_evidence,
     pump,
+    violations,
     witness_kunz,
 )
 from kunzlab import languages
 from kunzlab.languages import MAX_NERODE_PAIRS
 from kunzlab.words import MAX_WITNESS_LENGTH
-from conftest import all_words, naive_census, naive_refutation
+from conftest import all_words, kunz_tuple_ok, naive_census, naive_refutation
 
 
 def test_dfa_k2_examples():
@@ -295,6 +298,60 @@ def test_pumping_witness_over_the_length_ceiling():
         bader_moura_refute(10**6, 2, 1)
 
 
+@pytest.mark.parametrize("q", range(3, 13))
+def test_nerode_members_match_the_scan(q):
+    # the probes are decided from their block sizes; the scan rebuilds each
+    for s in nerode_evidence(q, 10).separations:
+        assert s.member_i == in_kunz_language(Word((1,) * s.i + s.suffix.letters), q)
+        assert s.member_j == in_kunz_language(Word((1,) * s.j + s.suffix.letters), q)
+
+
+def _block_word(sizes):
+    return Word(tuple(a for a, n in enumerate(sizes, 1) for _ in range(n)))
+
+
+def _check_block_test(sizes, scans=True):
+    """The block test against is_kunz and, with scans, against the two
+    Theta(l^2) scans: violations() and conftest's kunz_tuple_ok."""
+    word = _block_word(sizes)
+    verdict = languages._blocks_kunz(sizes)
+    assert verdict == is_kunz(word), sizes
+    if scans:
+        assert verdict == (violations(word) == []) == kunz_tuple_ok(word.letters), sizes
+    return verdict
+
+
+def test_block_test_matches_the_scans_on_small_sizes():
+    verdicts = Counter(
+        _check_block_test(sizes)
+        for q in range(7) for sizes in itertools.product(range(5), repeat=q))
+    assert verdicts == {True: 5_543, False: 13_988}
+
+
+def test_block_test_matches_the_scans_on_large_sizes():
+    # witnesses of depth 3..24 with blocks up to 200, each perturbed in
+    # one size six times, and one random tuple with zeros per depth;
+    # the Python scans take the words of up to 700 letters
+    rng = random.Random(30)
+    cases = []
+    for q in range(3, 25):
+        n = rng.randint(1, min(200, (MAX_WITNESS_LENGTH - 1) // (q - 1)))
+        witness = [n] * (q - 1) + [1]
+        cases.append(witness)
+        for _ in range(6):
+            sizes = list(witness)
+            i = rng.randrange(q)
+            sizes[i] = max(0, sizes[i] + rng.choice([-2, -1, 1, 2, rng.randint(-n, n)]))
+            cases.append(sizes)
+        sizes = [rng.choice([0, rng.randint(1, 200)]) for _ in range(q)]
+        while sum(sizes) > MAX_WITNESS_LENGTH:
+            sizes[rng.randrange(q)] //= 2
+        cases.append(sizes)
+    verdicts = Counter(_check_block_test(tuple(sizes), sum(sizes) <= 700)
+                       for sizes in cases)
+    assert verdicts[True] >= 22 and verdicts[False] >= 22
+
+
 def test_nerode_rejects_regular_depths():
     with pytest.raises(DomainError):
         nerode_evidence(2, 5)
@@ -378,6 +435,41 @@ def test_pump_validation():
         mark_for_refutation(Word((1, 2, 3, 5)), 5)  # no 4
 
 
+def test_marking_stores_frozensets():
+    listed = PositionMarking([1, 3], [2])
+    frozen = PositionMarking(frozenset({1, 3}), frozenset({2}))
+    assert (listed.distinguished, listed.excluded) == (frozen.distinguished, frozen.excluded)
+    for marking in (listed, PositionMarking({1}, {2})):
+        assert type(marking.distinguished) is type(marking.excluded) is frozenset
+    for distinguished, excluded in ((5, {2}), ({1}, None), ([[1]], ())):
+        with pytest.raises(DomainError, match="^positions must be collections of integers$"):
+            PositionMarking(distinguished, excluded)
+
+
+_WORD, _CUTS = Word((1, 2, 3)), Decomposition((0, 1, 1, 2))
+
+
+@pytest.mark.parametrize("call,name,bad", [
+    (lambda v: count_kunz(v, 4), "q", 3.0),
+    (lambda v: count_kunz(3, v), "length", 4.0),
+    (lambda v: enumerate_kunz(v, 3), "q", True),
+    (lambda v: enumerate_kunz(3, v), "length", False),
+    (lambda v: nerode_evidence(v, 4), "q", 5.0),
+    (lambda v: nerode_evidence(3, v), "cutoff", True),
+    (lambda v: bader_moura_refute(v, 1, 4), "q", 5.0),
+    (lambda v: bader_moura_refute(5, v, 4), "p", True),
+    (lambda v: bader_moura_refute(5, 1, v), "k_max", True),
+    (lambda v: pump(_WORD, _CUTS, v), "k", 2.0),
+    # before any ceiling: these would be refused as over it
+    (lambda v: count_kunz(12, v), "length", 10.0**6),
+    (lambda v: nerode_evidence(3, v), "cutoff", 1e9),
+])
+def test_entry_points_refuse_arguments_that_are_not_ints(call, name, bad):
+    message = re.escape(f"{name} must be an integer, got {type(bad).__name__}")
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        call(bad)
+
+
 def test_marking_of_witness():
     w = witness_kunz(5, 2)  # 1 1 2 2 3 3 4 4 5
     marking = mark_for_refutation(w, 5)
@@ -419,36 +511,41 @@ def test_refutation_matches_generate_and_filter(q):
                  r.k, r.reason) for r in report.records] == expected
 
 
-def _count_scans(monkeypatch) -> list[int]:
-    """Count the Kunz scans the refutation makes, in a one-item list."""
-    scans = [0]
-    scan = languages.is_kunz
+def _count_tests(monkeypatch) -> list[int]:
+    """Count the refutation's block tests and Kunz scans, in that order."""
+    calls = [0, 0]
+    block_test, scan = languages._blocks_kunz, languages.is_kunz
 
-    def counted(word):
-        scans[0] += 1
+    def counted_test(sizes):
+        calls[0] += 1
+        return block_test(sizes)
+
+    def counted_scan(word):
+        calls[1] += 1
         return scan(word)
 
-    monkeypatch.setattr(languages, "is_kunz", counted)
-    return scans
+    monkeypatch.setattr(languages, "_blocks_kunz", counted_test)
+    monkeypatch.setattr(languages, "is_kunz", counted_scan)
+    return calls
 
 
 @pytest.mark.parametrize("q", range(5, 13))
 def test_refutation_scans_each_distinct_pumped_word_once(monkeypatch, q):
-    # one scan and one shared Word per distinct pumped word
-    scans = _count_scans(monkeypatch)
+    # one block test and one shared Word per distinct pumped word, no scan
+    calls = _count_tests(monkeypatch)
     report = bader_moura_refute(q, 1, 4)
-    assert scans[0] == 2 * q - 1
+    assert calls == [2 * q - 1, 0]
     pumped = [r.pumped for r in report.records]
     assert len(set(map(id, pumped))) == len(set(pumped))
 
 
 def test_refutation_at_p2_shares_its_pumped_words(monkeypatch):
     # the ceiling is C(137, 4), the cut tuples of the length-133 witness
-    scans = _count_scans(monkeypatch)
+    calls = _count_tests(monkeypatch)
     report = bader_moura_refute(5, 2, 4, max_candidates=14_043_870)
     records = report.records
     assert len(records) == 102_856
-    assert scans[0] == 1_143
+    assert calls == [1_143, 0]
     assert Counter((r.k, r.reason) for r in records) == {
         (0, "not_kunz"): 68_789, (2, "not_kunz"): 34_067}
     assert len({id(r.pumped) for r in records}) == len({r.pumped for r in records})
