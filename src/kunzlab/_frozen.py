@@ -1,26 +1,33 @@
 """Bases for the package's immutable classes.
 
-Each subclass lists its fields in ``__slots__``, and Frozen's one
+Each subclass lists its fields in ``__slots__``, and Frozen's public
 constructor sets them: positional arguments in ``__slots__`` order,
 keyword arguments by name, and TypeError for a field that is missing,
 repeated, unknown or surplus.  Any later assignment or deletion raises
 AttributeError.  A class keeps an ``__init__`` of its own only to check
 or default its fields before handing them on (Dfa, Decomposition,
 PositionMarking, RunResult), to derive them from another object
-(CompiledMachine, NumericalSemigroup), or because it is built in the
-hot loops and stores its one field directly (Word).  The semigroups and
-the census words the package derives itself skip the constructor:
-semigroups._store_apery and enumerate_semigroups set the ``_w`` slot
-through its descriptor's ``__set__``, and enumerate_kunz the ``letters``
-slot through its own (words._set_letters); the two censuses do so in
-bulk, with no Python-level call per semigroup or word.  Only the
-classes whose instances are compared by value derive from Value; the
-rest compare by identity and keep the default repr.
+(CompiledMachine, NumericalSemigroup), or because it is built often and
+stores its one field directly (Word).  Values the package builds valid
+by construction skip every ``__init__``: _trusted makes one instance
+from its fields, and _trusted_many makes many in bulk, with no
+Python-level call per instance.  Both set the fields through the class's
+one tuple of slot setters, which Frozen.__setattr__ does not guard.
+Only the classes whose instances are compared by value derive from
+Value; the rest compare by identity and keep the default repr.
 """
+
+from collections import deque
+from itertools import repeat
 
 
 class Frozen:
     __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # each field's own slot setter, in __slots__ order
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
 
     def __init__(self, *args, **fields):
         names = self.__slots__
@@ -28,6 +35,25 @@ class Frozen:
             args = self._bind(args, fields)
         for name, value in zip(names, args):
             object.__setattr__(self, name, value)
+
+    @classmethod
+    def _trusted(cls, *fields):
+        """An instance of fields already valid, in ``__slots__`` order,
+        with no check."""
+        self = object.__new__(cls)
+        for setter, value in zip(cls._setters, fields):
+            setter(self, value)
+        return self
+
+    @classmethod
+    def _trusted_many(cls, *columns) -> list:
+        """_trusted of each row of ``columns``, one column per field in
+        ``__slots__`` order, the first a sized sequence; bare objects,
+        then one pass of a slot setter per column."""
+        made = list(map(object.__new__, repeat(cls, len(columns[0]))))
+        for setter, column in zip(cls._setters, columns):
+            deque(map(setter, made, column), maxlen=0)
+        return made
 
     def _bind(self, args: tuple, fields: dict) -> tuple:
         """The field values in ``__slots__`` order, from positional and

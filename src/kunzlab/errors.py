@@ -36,12 +36,24 @@ def _shown(n: int) -> str:
     return str(n) if n > -2**64 else "-2^64 or less"
 
 
+def _check_ints(held: tuple = (), what: str = "", **named) -> None:
+    """DomainError unless each named argument is exactly an int, and then
+    unless every value ``held`` in the collection named ``what`` is.  Run
+    before any other check of them: a float or a bool (True == 1) would
+    pass every comparison and reach the arithmetic, a count or a report,
+    and a str would end in a TypeError."""
+    for name, value in named.items():
+        if type(value) is not int:
+            raise DomainError(f"{name} must be an integer, got {type(value).__name__}")
+    if held and not {int}.issuperset(map(type, held)):
+        raise DomainError(f"{what} must hold integers")
+
+
 def _check_at_least_one(value: int, what: str) -> None:
-    """DomainError unless ``value`` is an int >= 1; a value below 1 is
-    printed with _shown."""
-    if not isinstance(value, int):
-        raise DomainError(f"{what} must be an integer, got {type(value).__name__}")
-    if value < 1:
+    """DomainError unless ``value`` is exactly an int >= 1; a value below 1
+    is printed with _shown."""
+    if type(value) is not int or value < 1:
+        _check_ints(**{what: value})
         raise DomainError(f"{what} must be at least 1, got {_shown(value)}")
 
 

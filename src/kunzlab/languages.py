@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
-from collections import deque
 from math import comb
 from operator import sub
 from typing import Iterable, Iterator, Mapping
@@ -28,17 +27,11 @@ from .errors import (
     ResourceBound,
     SelfCheckFailed,
     _check_at_least_one,
+    _check_ints,
     _shown,
 )
 from .semigroups import _letter_bounds
-from .words import (
-    Word,
-    _check_length,
-    _set_letters,
-    is_kunz,
-    witness_kunz,
-    witness_nonkunz,
-)
+from .words import Word, _check_length, is_kunz, witness_kunz, witness_nonkunz
 
 DEFAULT_CANDIDATE_CEILING = 10_000_000
 # Largest nerode_evidence run, in letter pairs: comb(cutoff, 2)
@@ -137,15 +130,6 @@ def _blocks_kunz(sizes: tuple[int, ...]) -> bool:
     top = bisect_left(ends, ends[-1])
     return all(min(map(sub, ends[2 * a:top], ends[a:top - a])) >= ends[a]
                for a in range(1, (top + 1) // 2))
-
-
-def _check_ints(**values: int) -> None:
-    """DomainError for the first value that is not exactly an int: a
-    float or a bool (True == 1) would pass every comparison below and
-    reach the arithmetic, a count or a report."""
-    for name, value in values.items():
-        if type(value) is not int:
-            raise DomainError(f"{name} must be an integer, got {type(value).__name__}")
 
 
 def _check_census(q: int, length: int, max_candidates: int, *,
@@ -267,22 +251,6 @@ def _k3_subsets(length: int, bits: int, mask: int, sums: int, top: int) -> int:
     return total
 
 
-def _word(letters: tuple[int, ...]) -> Word:
-    """A Word of a letter tuple valid by construction, such as a slice of
-    another Word's letters, without Word's letter check."""
-    word = object.__new__(Word)
-    _set_letters(word, letters)
-    return word
-
-
-def _words(letters: list[tuple[int, ...]]) -> list[Word]:
-    """Words of letter tuples valid by construction, with no Python-level
-    call per word: bare objects, then the letters slot's setter."""
-    words = list(map(object.__new__, itertools.repeat(Word, len(letters))))
-    deque(map(_set_letters, words, letters), maxlen=0)
-    return words
-
-
 def enumerate_kunz(
     q: int,
     length: int,
@@ -307,18 +275,18 @@ def enumerate_kunz(
     _check_census(q, length, max_candidates)
     if q == 0 or length < 2:
         # K_0 is the empty word alone, and K_q's one word of length 1 is q
-        return [Word((q,) * length)] if (q == 0) == (length == 0) else []
+        return [Word._trusted((q,) * length)] if (q == 0) == (length == 0) else []
     if q <= 2:
         # 1^length comes first, and is in K_q at q = 1 alone
         words = itertools.product(range(1, q + 1), repeat=length)
-        return _words(list(itertools.islice(words, q - 1, None)))
+        return Word._trusted_many(list(itertools.islice(words, q - 1, None)))
     letters = []
     for u, x_lo, ys in _last_letters(q, length):
         head = tuple(u[:length - 2])
         for x, last in enumerate(ys, x_lo):
             stem = head + (x,)
             letters.extend([stem + (y,) for y in last])
-    return _words(letters)
+    return Word._trusted_many(letters)
 
 
 def count_kunz(q: int, length: int, *, max_candidates: int = DEFAULT_CANDIDATE_CEILING) -> int:
@@ -365,10 +333,14 @@ class NerodeSeparation(Frozen):
     __slots__ = ("i", "j", "suffix", "member_i", "member_j")
 
     def to_json_dict(self) -> dict:
+        return self._json_dict(str(self.suffix))
+
+    def _json_dict(self, suffix: str) -> dict:
+        """The wire form, with the suffix already rendered."""
         return {
             "i": self.i,
             "j": self.j,
-            "suffix": str(self.suffix),
+            "suffix": suffix,
             "member_i": self.member_i,
             "member_j": self.member_j,
         }
@@ -378,7 +350,12 @@ class NerodeReport(Frozen):
     __slots__ = ("depth", "cutoff", "separations")
 
     def to_json_list(self) -> list[dict]:
-        return [s.to_json_dict() for s in self.separations]
+        """Each separation's wire form.  The separations of one i share one
+        suffix Word (see nerode_evidence), so each Word object is rendered
+        once per call."""
+        words = {id(s.suffix): s.suffix for s in self.separations}
+        shown = {key: str(w) for key, w in words.items()}
+        return [s._json_dict(shown[id(s.suffix)]) for s in self.separations]
 
 
 def nerode_evidence(q: int, cutoff: int) -> NerodeReport:
@@ -392,8 +369,9 @@ def nerode_evidence(q: int, cutoff: int) -> NerodeReport:
     needed at this cutoff.  Both probe words are ascending block words
     whose largest letter is q, so each is decided from its block sizes
     (i, i, ..., i, 1) and (j, i, ..., i, 1) by _blocks_kunz, and neither
-    is built; the suffix is cut once per i from the witness's letters,
-    so Word's letter check is skipped.  DomainError for a depth or cutoff
+    is built; the suffix is cut once per i from the witness's letters and
+    shared by that i's separations, which are built in bulk with no
+    check (Frozen._trusted_many).  DomainError for a depth or cutoff
     that is not an int, and ResourceBound, up front, when the probes
     would cost over MAX_NERODE_PAIRS letter pairs to scan.
     """
@@ -408,9 +386,9 @@ def nerode_evidence(q: int, cutoff: int) -> NerodeReport:
             f"depth {_shown(q)} and cutoff {_shown(cutoff)} need {_shown(pairs)}"
             f" letter pairs, over the ceiling {MAX_NERODE_PAIRS}"
         )
-    separations = []
+    rows = []
     for i in range(1, cutoff):
-        suffix = _word(witness_kunz(q, i).letters[i:])
+        suffix = Word._trusted(witness_kunz(q, i).letters[i:])
         rest = (i,) * (q - 2) + (1,)  # the sizes of 2 .. q, so both depths are q
         member_i = _blocks_kunz((i,) + rest)
         for j in range(i + 1, cutoff + 1):
@@ -419,8 +397,9 @@ def nerode_evidence(q: int, cutoff: int) -> NerodeReport:
                 raise SelfCheckFailed(
                     f"separation for ({i}, {j}) failed re-verification"
                 )
-            separations.append(NerodeSeparation(i, j, suffix, member_i, member_j))
-    return NerodeReport(depth=q, cutoff=cutoff, separations=tuple(separations))
+            rows.append((i, j, suffix, member_i, member_j))
+    separations = NerodeSeparation._trusted_many(*zip(*rows))
+    return NerodeReport._trusted(q, cutoff, tuple(separations))
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +410,8 @@ def nerode_evidence(q: int, cutoff: int) -> NerodeReport:
 class Decomposition(Frozen):
     """Four integer cut points 0 <= c1 <= c2 <= c3 <= c4 splitting a word
     w into u = w[:c1], v = w[c1:c2], x = w[c2:c3], y = w[c3:c4],
-    z = w[c4:]; pump refuses cuts past the end of w."""
+    z = w[c4:]; pump refuses cuts past the end of w.  The cuts are stored
+    as a tuple, copied from a list."""
 
     __slots__ = ("cuts",)
 
@@ -442,7 +422,7 @@ class Decomposition(Frozen):
         c1, c2, c3, c4 = cuts
         if not (0 <= c1 <= c2 <= c3 <= c4):
             raise InvalidDecomposition(f"cuts {cuts} are not ascending")
-        super().__init__(cuts)
+        super().__init__(tuple(cuts))
 
 
 class PositionMarking(Frozen):
@@ -484,7 +464,7 @@ def pump(word: Word, decomposition: Decomposition, k: int) -> Word:
             f"cuts {decomposition.cuts} overrun a word of length {len(word)}"
         )
     w = word.letters
-    return _word(w[:c1] + w[c1:c2] * k + w[c2:c3] + w[c3:c4] * k + w[c4:])
+    return Word._trusted(w[:c1] + w[c1:c2] * k + w[c2:c3] + w[c3:c4] * k + w[c4:])
 
 
 class RefutationRecord(Frozen):
@@ -543,7 +523,7 @@ def mark_for_refutation(word: Word, q: int) -> PositionMarking:
             first.setdefault(letter, pos)
     if first.keys() != set(range(2, q + 1)):
         raise DomainError(f"word does not contain each of 2..{q}")
-    return PositionMarking(frozenset(distinguished), frozenset(first.values()))
+    return PositionMarking._trusted(frozenset(distinguished), frozenset(first.values()))
 
 
 def bader_moura_refute(
@@ -572,14 +552,20 @@ def bader_moura_refute(
 
     By e(vy) = 0, v and y are spans, cut pairs (a, b) with no excluded
     position in a+1..b; sorted spans are paired, v before y, so records
-    come in the order of their cut tuples.  The ceiling still counts all
-    C(l+4, 4) cut tuples of the length-l witness.  A span holds no first
-    letter of a block, so v and y each lie inside one block, and a pumped
-    word is the witness's block sizes with those two changed by
-    (k-1)|v| and (k-1)|y|.  Each distinct size tuple is decided from the
+    come in the order of their cut tuples.  By d(vy) >= 1, v or y holds a
+    distinguished position, so only spans that start before the last one
+    are tried as v, and as y only those that start where v ends or later,
+    and before the last one too when v holds none.
+    The ceiling still counts all C(l+4, 4) cut tuples of the length-l
+    witness.  A span holds no first letter of a block, so v and y each
+    lie inside one block, and a pumped word is the witness's block sizes
+    with those two changed by (k-1)|v| and (k-1)|y|.  Each distinct size
+    tuple is checked against the length ceiling and decided from the
     sizes by _blocks_kunz, its largest letter is q iff its last size is
-    not 0, and pump builds its word once; the records that pump to it
-    share that copy.
+    not 0, and pump builds its word once if it refutes; the records that
+    pump to it share that copy.  The spans come out ascending, so the
+    cuts are stored unchecked, and the records are built in bulk
+    (Frozen._trusted_many).
 
     q = 3 and q = 4 are refused: pumping 2s cannot hurt a word whose
     letters never exceed 4, so this experiment is only meaningful from
@@ -618,13 +604,18 @@ def bader_moura_refute(
     )
     spans = [(a, b) for a in range(length + 1) for b in range(a, length + 1)
              if excl[a] == excl[b]]
+    # d(vy) >= 1: v, which comes first, starts before the last 1, and so
+    # does y when v holds no 1
+    starts = [a for a, _ in spans]
+    last = bisect_left(starts, max(marking.distinguished))
+    pairs = ((v, y) for v in spans[:last]
+             for y in spans[bisect_left(starts, v[1]):None if dist[v[1]] > dist[v[0]] else last])
     sizes = (n,) * (q - 1) + (1,)
-    seen = {}  # each distinct pumped word's sizes: its first copy and its reason
-    records = []
-    for v, y in itertools.combinations_with_replacement(spans, 2):
+    seen = {}  # each distinct pumped word's sizes: its reason, and its word if it refutes
+    # the records' fields, one list per field but e_vy, which is always 0
+    decompositions, d_vys, d_vxys, e_vxys, ks, words, reasons = ([] for _ in range(7))
+    for v, y in pairs:
         (c1, c2), (c3, c4) = v, y
-        if c2 > c3:
-            continue
         d_vy = dist[c2] - dist[c1] + dist[c4] - dist[c3]
         if d_vy < 1:
             continue
@@ -632,7 +623,7 @@ def bader_moura_refute(
         e_vxy = excl[c4] - excl[c1]
         if d_vxy > p ** (e_vxy + 1):
             continue
-        decomposition = Decomposition(v + y)
+        decomposition = Decomposition._trusted(v + y)
         # v lies in block c1 // n and y in block c3 // n; an empty span
         # changes nothing, and n >= 2 makes even the last cut's block < q
         for k in range(k_max + 1):
@@ -641,21 +632,26 @@ def bader_moura_refute(
             pumped_sizes[c3 // n] += (k - 1) * (c4 - c3)
             key = tuple(pumped_sizes)
             if key not in seen:
-                seen[key] = pump(word, decomposition, k), (
-                    "not_kunz" if not _blocks_kunz(key) else
-                    "wrong_depth" if not key[-1] else None)
+                _check_length(sum(key), "a pumped word")
+                reason = ("not_kunz" if not _blocks_kunz(key) else
+                          "wrong_depth" if not key[-1] else None)
+                seen[key] = reason and pump(word, decomposition, k), reason
             pumped, reason = seen[key]
             if reason:
                 break
         else:
             k = pumped = reason = None
-        records.append(RefutationRecord(decomposition, d_vy, 0, d_vxy, e_vxy,
-                                        k, pumped, reason))
+        decompositions.append(decomposition)
+        d_vys.append(d_vy)
+        d_vxys.append(d_vxy)
+        e_vxys.append(e_vxy)
+        ks.append(k)
+        words.append(pumped)
+        reasons.append(reason)
 
-    report = RefutationReport(
-        depth=q, p=p, k_max=k_max, word=word, marking=marking,
-        records=tuple(records),
-    )
+    records = RefutationRecord._trusted_many(
+        decompositions, d_vys, itertools.repeat(0), d_vxys, e_vxys, ks, words, reasons)
+    report = RefutationReport._trusted(q, p, k_max, word, marking, tuple(records))
     if not report.all_refuted:
         raise NoRefutation(report)
     return report

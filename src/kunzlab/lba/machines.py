@@ -44,7 +44,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from ..errors import DomainError, ResourceBound, _shown
+from ..errors import DomainError, ResourceBound, _check_ints, _shown
 from .simulator import (
     ACCEPT,
     BLANK,
@@ -63,7 +63,8 @@ ORIGIN = "#"
 MAX_MACHINE_DEPTH = 24
 
 
-@lru_cache(maxsize=None)
+# typed, so that 3.0 or True, equal to a cached depth, is still refused
+@lru_cache(maxsize=None, typed=True)
 def build_kn_machine(n: int) -> CompiledMachine:
     """Three-track rotation acceptor for the depth-n language, n >= 3.
 
@@ -71,9 +72,11 @@ def build_kn_machine(n: int) -> CompiledMachine:
     that is accepted takes exactly (2l+1)(l+1), and every run uses
     3(l+1) cells.  K_4, K_5, K_6 and K_24 have 16, 19, 22 and 76 states
     (3n+4).  For n < 3 the languages are regular; use the finite
-    accepters instead.  Depths above MAX_MACHINE_DEPTH raise
-    ResourceBound before anything is built.
+    accepters instead.  A depth that is not exactly an int is a
+    DomainError, and depths above MAX_MACHINE_DEPTH raise ResourceBound
+    before anything is built.
     """
+    _check_ints(n=n)
     if n < 3:
         raise DomainError("depths 0..2 are regular; build_kn_machine needs n >= 3")
     if n > MAX_MACHINE_DEPTH:

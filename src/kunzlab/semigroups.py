@@ -14,7 +14,9 @@ a conductor over MAX_CONDUCTOR.  Only from_apery and the small_elements
 constructor validate w, in O(m^2) at worst, so they first refuse m - 1 over
 MAX_WITNESS_LENGTH; the constructor then counts its input, listing none,
 in O(input + m^2) in all.  from_generators, words.to_semigroup and
-enumerate_semigroups derive a valid w themselves and store it unchecked.
+enumerate_semigroups derive a valid w themselves and build the semigroup
+from it with Frozen._trusted, or _trusted_many in bulk, which check
+nothing.
 """
 
 from __future__ import annotations
@@ -23,12 +25,18 @@ import heapq
 import math
 import operator
 from bisect import bisect_left, bisect_right
-from collections import deque
-from itertools import chain, compress, count, product, repeat
+from itertools import chain, compress, count, product
 from typing import Iterable, Sequence
 
 from ._frozen import Value
-from .errors import DomainError, NotCofinite, ResourceBound, _check_at_least_one, _shown
+from .errors import (
+    DomainError,
+    NotCofinite,
+    ResourceBound,
+    _check_at_least_one,
+    _check_ints,
+    _shown,
+)
 
 DEFAULT_SEARCH_CEILING = 10_000_000
 # Largest conductor listed: small_elements, gaps() and the wire form are
@@ -217,13 +225,6 @@ def _check_length(length: int, what: str) -> None:
         )
 
 
-def _require_ints(values: tuple, what: str) -> None:
-    """DomainError unless every value is an int; run before any arithmetic
-    on input, which would otherwise end in a TypeError."""
-    if not all(isinstance(x, int) for x in values):
-        raise DomainError(f"{what} must hold integers")
-
-
 def _check_apery(w: tuple[int, ...]) -> None:
     """DomainError unless w, a tuple of integers, is the Apery tuple of a
     numerical semigroup of multiplicity m = len(w): w[0] = 0,
@@ -252,7 +253,7 @@ class NumericalSemigroup(Value):
 
     def __init__(self, small_elements: Sequence[int], conductor: int):
         small = tuple(small_elements)
-        _require_ints(small + (conductor,), "small_elements and conductor")
+        _check_ints(small + (conductor,), "small_elements and conductor")
         if not small or small[0] != 0:
             raise DomainError("small_elements must start with 0")
         if not all(map(operator.lt, small, small[1:])):
@@ -360,43 +361,33 @@ class NumericalSemigroup(Value):
 NATURALS = NumericalSemigroup(small_elements=(0,), conductor=0)
 
 
-# the _w slot's own setter, which Frozen.__setattr__ does not guard
-_set_apery = NumericalSemigroup._w.__set__
-
-
-def _store_apery(values: Iterable[int]) -> NumericalSemigroup:
-    """from_apery without _check_apery, for tuples valid by construction."""
-    semigroup = object.__new__(NumericalSemigroup)
-    _set_apery(semigroup, tuple(values))
-    return semigroup
-
-
 def from_apery(values: Sequence[int]) -> NumericalSemigroup:
     """The semigroup whose Apery tuple is ``values``, for the multiplicity
-    m = len(values).  DomainError unless the values are integers, checked
-    first; then ResourceBound when m - 1 exceeds MAX_WITNESS_LENGTH, since
-    the validation is O(m^2) at worst; then DomainError unless values[0] is 0,
-    values[i] = k*m + i with k >= 1 for 0 < i < m, and Kunz's
-    inequalities hold (see _check_apery).  Any conductor is built."""
+    m = len(values).  DomainError unless the values are exactly ints,
+    checked first; then ResourceBound when m - 1 exceeds
+    MAX_WITNESS_LENGTH, since the validation is O(m^2) at worst; then
+    DomainError unless values[0] is 0, values[i] = k*m + i with k >= 1
+    for 0 < i < m, and Kunz's inequalities hold (see _check_apery).  Any
+    conductor is built."""
     w = tuple(values)
-    _require_ints(w, "an Apery tuple")
+    _check_ints(w, "an Apery tuple")
     _check_length(len(w) - 1, f"multiplicity {_shown(len(w))}: a Kunz word")
     _check_apery(w)
-    return _store_apery(w)
+    return NumericalSemigroup._trusted(w)
 
 
 def from_generators(gens: Iterable[int]) -> NumericalSemigroup:
     """Least submonoid of N containing ``gens``; its Apery tuple comes valid
     from the shortest paths below and is stored unchecked.
 
-    Raises NotCofinite when gcd(gens) != 1 (the complement would be
-    infinite), DomainError on an empty, nonpositive or non-integer
-    generator set, and ResourceBound, before the shortest paths, when the
-    multiplicity exceeds MAX_CONDUCTOR; any conductor is built, in O(m)
-    memory.
+    Raises DomainError, first, unless every generator is exactly an int;
+    then NotCofinite when gcd(gens) != 1 (the complement would be
+    infinite), DomainError on an empty or nonpositive generator set, and
+    ResourceBound, before the shortest paths, when the multiplicity
+    exceeds MAX_CONDUCTOR; any conductor is built, in O(m) memory.
     """
     gens = tuple(gens)
-    _require_ints(gens, "generators")
+    _check_ints(gens, "generators")
     gen_list = sorted(set(gens))
     if not gen_list:
         raise DomainError("need at least one generator")
@@ -422,7 +413,7 @@ def from_generators(gens: Iterable[int]) -> NumericalSemigroup:
             if d + g < values[t]:
                 values[t] = d + g
                 heapq.heappush(heap, (d + g, t))
-    return _store_apery(values)
+    return NumericalSemigroup._trusted(tuple(values))
 
 
 def _last_row(
@@ -465,7 +456,7 @@ def enumerate_semigroups(
     every integer in (m, bound), bound = m*max_depth, one position at a
     time, pruning a branch as soon as declaring x a gap would break
     additive closure (some a + b = x with a, b already members), so
-    every leaf is closed and stored unchecked.  Nothing here knows about
+    every leaf is closed and built unchecked.  Nothing here knows about
     Kunz coordinates, so the word-side census can be checked against
     this one as an independent oracle.
 
@@ -478,9 +469,9 @@ def enumerate_semigroups(
     the Apery tuples in the order a position-by-position search would.
     The search keeps each residue's least member so far in one list of m
     ints, set when a member joins first in its residue and reset on the
-    way back, so a row reads each residue's choice in O(1).  The row's
-    tuples become NumericalSemigroups in bulk, with no Python-level call
-    per semigroup.
+    way back, so a row reads each residue's choice in O(1).  The rows'
+    tuples are gathered in one list, which becomes NumericalSemigroups in
+    one bulk pass at the end, with no Python-level call per semigroup.
 
     Output is ascending-lexicographic by small_elements, with no sort:
     the multiplicities run in ascending order and each position tries
@@ -490,9 +481,10 @@ def enumerate_semigroups(
     the search tree exceeds ``search_ceiling`` nodes.  A last row is
     charged its whole subtree before any of it is built, so the node
     count, and the point where it trips, are those of a
-    position-by-position search.  A ``search_ceiling`` below 1 is a
-    DomainError.
+    position-by-position search.  A multiplicity or depth that is not
+    exactly an int, and a ``search_ceiling`` below 1, are DomainErrors.
     """
+    _check_ints(max_multiplicity=max_multiplicity, max_depth=max_depth)
     if max_multiplicity < 1:
         raise DomainError("max_multiplicity must be >= 1")
     if max_depth < 0:
@@ -508,7 +500,7 @@ def enumerate_semigroups(
             f" ceiling {search_ceiling}"
         )
 
-    results: list[NumericalSemigroup] = [NATURALS]
+    apery: list[tuple[int, ...]] = []  # every leaf's Apery tuple, in order
     nodes = 0
 
     def extend(mask: int, sums: int, x: int) -> None:
@@ -523,12 +515,7 @@ def enumerate_semigroups(
         if nodes > search_ceiling:
             raise ResourceBound(f"gap-set search exceeded {search_ceiling} nodes")
         if x == x0:
-            # one NumericalSemigroup per Apery tuple, with no Python-level
-            # call per semigroup: bare objects, then the _w slot's setter
-            tuples = list(product(*choices))
-            found = list(map(object.__new__, repeat(NumericalSemigroup, len(tuples))))
-            deque(map(_set_apery, found, tuples), maxlen=0)
-            results.extend(found)
+            apery.extend(product(*choices))
             return
         # x joins S, as the least member of its residue if none is yet
         joined = mask | 1 << x
@@ -550,4 +537,6 @@ def enumerate_semigroups(
         # 1 .. m-1 are gaps by definition of the multiplicity
         extend(1 << m, 1 << 2 * m, m + 1)
 
-    return results
+    found = NumericalSemigroup._trusted_many(apery)
+    found.insert(0, NATURALS)
+    return found

@@ -23,13 +23,12 @@ from __future__ import annotations
 from typing import Iterable, Iterator
 
 from ._frozen import Value
-from .errors import DomainError, NotKunz
+from .errors import DomainError, NotKunz, _check_ints
 from .semigroups import (
     MAX_WITNESS_LENGTH,
     NumericalSemigroup,
     _check_length,
     _letters_in_bounds,
-    _store_apery,
 )
 
 FIRST = "first"
@@ -82,11 +81,7 @@ class Word(Value):
     def __add__(self, other: "Word") -> "Word":
         if not isinstance(other, Word):
             return NotImplemented
-        return Word(self.letters + other.letters)
-
-
-# the letters slot's own setter, which Frozen.__setattr__ does not guard
-_set_letters = Word.letters.__set__
+        return Word._trusted(self.letters + other.letters)
 
 
 class Violation(Value):
@@ -137,16 +132,18 @@ def witness_kunz(q: int, n: int) -> Word:
 
     Its k-th letter is ceil(k/n), and ceilings are superadditive, so both
     Kunz conditions hold: this is a Kunz word of depth q for every
-    q >= 3, n >= 1.  ResourceBound, before building anything, when the
-    length exceeds MAX_WITNESS_LENGTH.
+    q >= 3, n >= 1.  DomainError, first, for a q or n that is not exactly
+    an int, and ResourceBound, before building anything, when the length
+    exceeds MAX_WITNESS_LENGTH.
     """
+    _check_ints(q=q, n=n)
     if q < 3:
         raise DomainError("witness families are defined for depth q >= 3")
     if n < 1:
         raise DomainError("block size n must be >= 1")
     _check_length((q - 1) * n + 1, "a witness")
     letters = tuple(v for v in range(1, q) for _ in range(n)) + (q,)
-    return Word(letters)
+    return Word._trusted(letters)
 
 
 def witness_nonkunz(q: int, n: int, m: int) -> Word:
@@ -154,15 +151,16 @@ def witness_nonkunz(q: int, n: int, m: int) -> Word:
 
     Padding the leading block breaks the first condition at
     (i, j) = (n+1, n+m): both letters are 1 but position 2n+m+1 holds a 3.
-    ResourceBound, as for witness_kunz, when its length (q-1)n + m + 1
-    exceeds MAX_WITNESS_LENGTH.
+    DomainError and ResourceBound as for witness_kunz, the latter when
+    its length (q-1)n + m + 1 exceeds MAX_WITNESS_LENGTH.
     """
+    _check_ints(q=q, n=n, m=m)
     if q < 3:
         raise DomainError("witness families are defined for depth q >= 3")
     if n < 1 or m < 1:
         raise DomainError("block size n and padding m must be >= 1")
     _check_length((q - 1) * n + m + 1, "a witness")
-    return Word((1,) * m + witness_kunz(q, n).letters)
+    return Word._trusted((1,) * m + witness_kunz(q, n).letters)
 
 
 def to_semigroup(word: Word) -> NumericalSemigroup:
@@ -180,9 +178,10 @@ def to_semigroup(word: Word) -> NumericalSemigroup:
     if not is_kunz(word):
         raise NotKunz(f"{word} violates the Kunz conditions")
     m = len(word) + 1
-    return _store_apery([0] + [u * m + i for i, u in enumerate(word.letters, 1)])
+    w = [0] + [u * m + i for i, u in enumerate(word.letters, 1)]
+    return NumericalSemigroup._trusted(tuple(w))
 
 
 def from_semigroup(semigroup: NumericalSemigroup) -> Word:
     """Kunz coefficients of ``semigroup`` as a word; () for N itself."""
-    return Word(semigroup.apery.kunz)
+    return Word._trusted(semigroup.apery.kunz)

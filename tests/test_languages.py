@@ -279,6 +279,18 @@ def test_nerode_counts(cutoff):
     assert len(report.separations) == cutoff * (cutoff - 1) // 2
 
 
+def test_nerode_report_renders_each_suffix_once(monkeypatch):
+    # the separations of one i share one suffix Word, rendered once per call
+    report = nerode_evidence(3, 6)
+    want = [s.to_json_dict() for s in report.separations]
+    assert len({id(s.suffix) for s in report.separations}) == 5
+    rendered = []
+    render = Word.__str__
+    monkeypatch.setattr(Word, "__str__", lambda w: rendered.append(w) or render(w))
+    assert report.to_json_list() == want
+    assert len(rendered) == 5
+
+
 def test_nerode_work_ceiling():
     # comb(cutoff, 2) separations scanning words of up to 2*cutoff + 1
     # letters: cutoff 79 is 77,890,761 letter pairs, cutoff 90 is 130,141,395
@@ -579,3 +591,14 @@ def test_refute_surfaces_survivors():
     report = exc_info.value.report
     assert report.unrefuted
     assert any(r.k is None for r in report.records)
+    assert all(r.pumped is None and r.reason is None for r in report.unrefuted)
+
+
+def test_refute_refuses_a_pumped_word_over_the_length_ceiling(monkeypatch):
+    # with every size tuple passing the block test nothing refutes, so the
+    # first record's y, one letter, is pumped until its word has 4,097
+    # letters, at k = 4,089, and the refusal comes at that k
+    monkeypatch.setattr(languages, "_blocks_kunz", lambda sizes: True)
+    with pytest.raises(ResourceBound,
+                       match="^a pumped word of length 4097 is over the ceiling 4096$"):
+        bader_moura_refute(5, 1, 10**4)

@@ -16,19 +16,31 @@ from kunzlab import (
     InvalidDecomposition,
     NerodeReport,
     NerodeSeparation,
+    NumericalSemigroup,
     PositionMarking,
     RefutationRecord,
     RefutationReport,
     Violation,
     Word,
     bader_moura_refute,
+    count_kunz,
     dfa_k2,
+    enumerate_semigroups,
     from_generators,
     nerode_evidence,
     violations,
     witness_kunz,
+    witness_nonkunz,
 )
-from kunzlab.lba import MachineBuilder, RunResult, TraceEntry, build_k3_machine, run
+from kunzlab._frozen import Frozen, Value
+from kunzlab.lba import (
+    MachineBuilder,
+    RunResult,
+    TraceEntry,
+    build_k3_machine,
+    build_kn_machine,
+    run,
+)
 from kunzlab.lba.simulator import Rule
 
 EXPORTED = {
@@ -251,3 +263,104 @@ def test_constructor_binds_fields_by_position_and_by_name(original, defaults):
         cls(*fields, no_such_field=None)
     with pytest.raises(TypeError):
         cls(*fields, **{names[0]: fields[0]})
+
+
+def _shape(value):
+    """A value's type and fields, recursively through Frozen fields and
+    tuples, so that instances compared by identity can be compared by
+    what they hold."""
+    if isinstance(value, Frozen):
+        return type(value), tuple(map(_shape, value._fields()))
+    if type(value) is tuple:
+        return tuple(map(_shape, value))
+    return value
+
+
+def _trusted_cases():
+    cuts = Decomposition((0, 1, 1, 2))
+    return [
+        pytest.param(lambda: Word((1, 2, 3)), id="Word"),
+        pytest.param(lambda: NumericalSemigroup((0, 3, 5, 6, 8), 8), id="NumericalSemigroup"),
+        pytest.param(lambda: Decomposition((0, 1, 1, 2)), id="Decomposition"),
+        pytest.param(lambda: RefutationRecord(cuts, 1, 0, 1, 0, 2, Word((1, 2)), "not_kunz"),
+                     id="RefutationRecord"),
+        pytest.param(lambda: NerodeSeparation(1, 2, Word((2, 3)), True, False),
+                     id="NerodeSeparation"),
+    ]
+
+
+@pytest.mark.parametrize("public", _trusted_cases())
+def test_trusted_instances_match_the_public_constructors(public):
+    """_trusted and _trusted_many skip every check, and build instances
+    that the public constructor's cannot be told from."""
+    made = public()
+    cls, fields = type(made), made._fields()
+    one = cls._trusted(*fields)
+    bulk = cls._trusted_many(*([field] * 3 for field in fields))
+    assert len(bulk) == 3 and len(set(map(id, bulk))) == 3
+    value = issubclass(cls, Value)
+    for trusted in (one, *bulk):
+        assert type(trusted) is cls and trusted is not made
+        assert trusted._fields() == fields
+        if value:
+            assert trusted == made and hash(trusted) == hash(made)
+            assert repr(trusted) == repr(made)
+        else:  # compared by identity, with the default repr
+            assert trusted != made
+            assert repr(trusted).split(" at ")[0] == repr(made).split(" at ")[0]
+        copies = [copy.copy(trusted), copy.deepcopy(trusted)] + [
+            pickle.loads(pickle.dumps(trusted, protocol))
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for again in copies:
+            assert _shape(again) == _shape(made)
+            if value:
+                assert again == made
+        with pytest.raises(AttributeError):
+            setattr(trusted, cls.__slots__[0], None)
+
+
+def test_trusted_many_of_no_rows():
+    assert Word._trusted_many([]) == []
+    assert RefutationRecord._trusted_many([]) == []
+
+
+def test_decomposition_stores_a_copy_of_its_cuts():
+    cuts = [0, 1, 1, 2]
+    decomposition = Decomposition(cuts)
+    assert type(decomposition.cuts) is tuple and decomposition.cuts == (0, 1, 1, 2)
+    cuts[0] = 5
+    assert decomposition.cuts == (0, 1, 1, 2)
+    assert Decomposition(cuts=[0, 0, 0, 0]).cuts == (0, 0, 0, 0)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: from_generators([True, 2]), "generators must hold integers"),
+    (lambda: from_generators((2, 3.0)), "generators must hold integers"),
+    (lambda: NumericalSemigroup((0, True), True),
+     "small_elements and conductor must hold integers"),
+    (lambda: enumerate_semigroups(True, 2), "max_multiplicity must be an integer, got bool"),
+    (lambda: enumerate_semigroups(3.0, 2), "max_multiplicity must be an integer, got float"),
+    (lambda: enumerate_semigroups(3, True), "max_depth must be an integer, got bool"),
+    (lambda: witness_kunz(3, True), "n must be an integer, got bool"),
+    (lambda: witness_kunz(3.0, 2), "q must be an integer, got float"),
+    (lambda: witness_nonkunz(3, 2, True), "m must be an integer, got bool"),
+    (lambda: build_kn_machine(3.0), "n must be an integer, got float"),
+    (lambda: build_kn_machine(True), "n must be an integer, got bool"),
+    (lambda: count_kunz(3, 4, max_candidates=True),
+     "the candidate ceiling must be an integer, got bool"),
+    (lambda: bader_moura_refute(5, 1, 4, max_candidates=True),
+     "the candidate ceiling must be an integer, got bool"),
+    (lambda: run(build_k3_machine(), Word((1, 2, 3)), max_steps=True),
+     "the step budget must be an integer, got bool"),
+], ids=["from_generators-bool", "from_generators-float", "small_elements-bool",
+        "enumerate_semigroups-bool", "enumerate_semigroups-float",
+        "enumerate_semigroups-depth-bool", "witness_kunz-bool", "witness_kunz-float",
+        "witness_nonkunz-bool", "build_kn_machine-float", "build_kn_machine-bool",
+        "count_kunz-ceiling-bool", "bader_moura_refute-ceiling-bool", "run-budget-bool"])
+def test_entry_points_take_exactly_int(call, message):
+    """A bool or a float is refused as a DomainError before any work: not
+    read as 1 or 3, not ended in a TypeError, and a bool ceiling or
+    budget is not a ResourceBound or a StepBudgetExceeded."""
+    build_kn_machine(3)  # a cached depth 3 must not answer for 3.0 or True
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        call()
