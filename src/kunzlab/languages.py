@@ -13,7 +13,7 @@ finite, re-checkable certificate at a time.
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from math import comb
 from operator import sub
 from typing import Iterable, Iterator, Mapping
@@ -59,6 +59,7 @@ class Dfa(Frozen):
         start: int,
         accepting: frozenset[int],
     ):
+        _check_ints(start=start)  # True == 1 would pass as state 1
         if start not in states:
             raise DomainError("start state unknown")
         if not accepting <= states:
@@ -104,7 +105,9 @@ def dfa_accepts(dfa: Dfa, word: Word) -> bool:
 
 
 def in_kunz_language(word: Word, q: int) -> bool:
-    """Membership in K_q: Kunz conditions plus largest letter exactly q."""
+    """Membership in K_q: Kunz conditions plus largest letter exactly q.
+    DomainError for a q that is not an int: 5.0 == 5 would answer as 5."""
+    _check_ints(q=q)
     return word.depth == q and is_kunz(word)
 
 
@@ -514,16 +517,43 @@ class RefutationReport(Frozen):
 
 def mark_for_refutation(word: Word, q: int) -> PositionMarking:
     """Distinguish every 1; exclude the first occurrence of each letter
-    2..q.  This is the marking the pumping experiment runs under."""
+    2..q.  This is the marking the pumping experiment runs under.
+    DomainError for a q that is not an int, and unless the letters above
+    1 are exactly 2..q: as many distinct ones, none above q, so no set of
+    q entries is built."""
+    _check_ints(q=q)
     distinguished, first = set(), {}
     for pos, letter in enumerate(word.letters, start=1):
         if letter == 1:
             distinguished.add(pos)
         else:
             first.setdefault(letter, pos)
-    if first.keys() != set(range(2, q + 1)):
-        raise DomainError(f"word does not contain each of 2..{q}")
+    if len(first) != max(q - 1, 0) or max(first, default=q) > q:
+        raise DomainError(f"word does not contain each of 2..{_shown(q)}")
     return PositionMarking._trusted(frozenset(distinguished), frozenset(first.values()))
+
+
+def _attack(word: Word, sizes: tuple[int, ...], cuts: tuple, k_max: int, seen: dict) -> tuple:
+    """(k, pumped word, reason) for the least k <= k_max that pumps the
+    witness of these block sizes out of K_q at these cuts, or three Nones.
+    v and y lie in blocks c1 // n and c3 // n (below q, as n >= 2), or are
+    empty; ``seen`` holds each pumped size tuple's reason and refuting word."""
+    c1, c2, c3, c4 = cuts
+    n = sizes[0]
+    for k in range(k_max + 1):
+        pumped_sizes = list(sizes)
+        pumped_sizes[c1 // n] += (k - 1) * (c2 - c1)
+        pumped_sizes[c3 // n] += (k - 1) * (c4 - c3)
+        key = tuple(pumped_sizes)
+        if key not in seen:
+            _check_length(sum(key), "a pumped word")
+            reason = ("not_kunz" if not _blocks_kunz(key) else
+                      "wrong_depth" if not key[-1] else None)
+            seen[key] = reason and pump(word, Decomposition._trusted(cuts), k), reason
+        pumped, reason = seen[key]
+        if reason:
+            return k, pumped, reason
+    return None, None, None
 
 
 def bader_moura_refute(
@@ -551,21 +581,20 @@ def bader_moura_refute(
     report.
 
     By e(vy) = 0, v and y are spans, cut pairs (a, b) with no excluded
-    position in a+1..b; sorted spans are paired, v before y, so records
-    come in the order of their cut tuples.  By d(vy) >= 1, v or y holds a
-    distinguished position, so only spans that start before the last one
-    are tried as v, and as y only those that start where v ends or later,
-    and before the last one too when v holds none.
-    The ceiling still counts all C(l+4, 4) cut tuples of the length-l
-    witness.  A span holds no first letter of a block, so v and y each
-    lie inside one block, and a pumped word is the witness's block sizes
-    with those two changed by (k-1)|v| and (k-1)|y|.  Each distinct size
-    tuple is checked against the length ceiling and decided from the
-    sizes by _blocks_kunz, its largest letter is q iff its last size is
-    not 0, and pump builds its word once if it refutes; the records that
-    pump to it share that copy.  The spans come out ascending, so the
-    cuts are stored unchecked, and the records are built in bulk
-    (Frozen._trusted_many).
+    position in a+1..b: b runs up to the last cut with a's count of them.
+    By d(vy) >= 1, v starts before the last 1, and when v is empty y does
+    too and is not.  y lies in one block, so e(vxy) is fixed while d(vxy)
+    grows with y's end, and condition 2 ends that run.  So four nested
+    loops over c1 <= c2 <= c3 <= c4 list the admitted cut tuples alone,
+    in ascending order, and store them unchecked; the ceiling still
+    counts all C(l+4, 4) of the length-l witness.  A span holds no first
+    letter of a block, so a pumped word is the witness's block sizes
+    with those of v and y changed by (k-1)|v| and (k-1)|y|, and each
+    shape (block of v, |v|, block of y, |y|) is attacked once (_attack).
+    Each distinct size tuple is checked against the length ceiling and
+    decided by _blocks_kunz, its largest letter is q iff its last size
+    is not 0, and pump builds its word once if it refutes; the records
+    that pump to it, built in bulk (Frozen._trusted_many), share it.
 
     q = 3 and q = 4 are refused: pumping 2s cannot hurt a word whose
     letters never exceed 4, so this experiment is only meaningful from
@@ -602,55 +631,32 @@ def bader_moura_refute(
             (pos in marked for pos in range(1, length + 1)), initial=0))
         for marked in (marking.distinguished, marking.excluded)
     )
-    spans = [(a, b) for a in range(length + 1) for b in range(a, length + 1)
-             if excl[a] == excl[b]]
-    # d(vy) >= 1: v, which comes first, starts before the last 1, and so
-    # does y when v holds no 1
-    starts = [a for a, _ in spans]
-    last = bisect_left(starts, max(marking.distinguished))
-    pairs = ((v, y) for v in spans[:last]
-             for y in spans[bisect_left(starts, v[1]):None if dist[v[1]] > dist[v[0]] else last])
+    # the last cut b with no excluded position in a+1..b, for each cut a
+    ends = [bisect_right(excl, e) - 1 for e in excl]
     sizes = (n,) * (q - 1) + (1,)
     seen = {}  # each distinct pumped word's sizes: its reason, and its word if it refutes
-    # the records' fields, one list per field but e_vy, which is always 0
-    decompositions, d_vys, d_vxys, e_vxys, ks, words, reasons = ([] for _ in range(7))
-    for v, y in pairs:
-        (c1, c2), (c3, c4) = v, y
-        d_vy = dist[c2] - dist[c1] + dist[c4] - dist[c3]
-        if d_vy < 1:
-            continue
-        d_vxy = dist[c4] - dist[c1]
-        e_vxy = excl[c4] - excl[c1]
-        if d_vxy > p ** (e_vxy + 1):
-            continue
-        decomposition = Decomposition._trusted(v + y)
-        # v lies in block c1 // n and y in block c3 // n; an empty span
-        # changes nothing, and n >= 2 makes even the last cut's block < q
-        for k in range(k_max + 1):
-            pumped_sizes = list(sizes)
-            pumped_sizes[c1 // n] += (k - 1) * (c2 - c1)
-            pumped_sizes[c3 // n] += (k - 1) * (c4 - c3)
-            key = tuple(pumped_sizes)
-            if key not in seen:
-                _check_length(sum(key), "a pumped word")
-                reason = ("not_kunz" if not _blocks_kunz(key) else
-                          "wrong_depth" if not key[-1] else None)
-                seen[key] = reason and pump(word, decomposition, k), reason
-            pumped, reason = seen[key]
-            if reason:
-                break
-        else:
-            k = pumped = reason = None
-        decompositions.append(decomposition)
-        d_vys.append(d_vy)
-        d_vxys.append(d_vxy)
-        e_vxys.append(e_vxy)
-        ks.append(k)
-        words.append(pumped)
-        reasons.append(reason)
+    shapes = {}  # each (block of v, |v|, block of y, |y|): its (k, pumped, reason)
+    rows = []
+    # the 1s are 1..n: v starts before n, and if v is empty so does y, not empty
+    for c1 in range(n):
+        for c2 in range(c1, ends[c1] + 1):
+            for c3 in range(c2, length + 1 if c2 > c1 else n):
+                e_vxy = excl[c3] - excl[c1]
+                cap = p ** (e_vxy + 1)
+                for c4 in range(c3 + (c2 == c1), ends[c3] + 1):
+                    d_vxy = dist[c4] - dist[c1]
+                    if d_vxy > cap:
+                        break  # and so are the later c4, in the same block
+                    cuts = (c1, c2, c3, c4)
+                    shape = (c1 // n, c2 - c1, c3 // n, c4 - c3)
+                    if shape not in shapes:
+                        shapes[shape] = _attack(word, sizes, cuts, k_max, seen)
+                    d_vy = dist[c2] - dist[c1] + dist[c4] - dist[c3]
+                    rows.append((cuts, d_vy, 0, d_vxy, e_vxy, *shapes[shape]))
 
-    records = RefutationRecord._trusted_many(
-        decompositions, d_vys, itertools.repeat(0), d_vxys, e_vxys, ks, words, reasons)
+    cuts, *fields = zip(*rows)
+    del rows  # so the rows and the records are never held at once
+    records = RefutationRecord._trusted_many(Decomposition._trusted_many(cuts), *fields)
     report = RefutationReport._trusted(q, p, k_max, word, marking, tuple(records))
     if not report.all_refuted:
         raise NoRefutation(report)

@@ -39,6 +39,10 @@ from .errors import (
 )
 
 DEFAULT_SEARCH_CEILING = 10_000_000
+# Deepest gap-set search, in positions decided one nested call at a time:
+# Python's default recursion limit is 1,000 frames, and callers such as
+# pytest hold some of them.
+MAX_SEARCH_DEPTH = 900
 # Largest conductor listed: small_elements, gaps() and the wire form are
 # O(c) reads, and listing the small elements of [1447, 1451]
 # (c = 2,096,700) at the ceiling takes about 0.08 s from the sieve
@@ -278,7 +282,11 @@ class NumericalSemigroup(Value):
         return self.contains(x)
 
     def contains(self, x: int) -> bool:
-        """Membership test; true for every x >= conductor."""
+        """Membership test; true for every x >= conductor.  DomainError for
+        an x that is not exactly an int: True would answer as 1, and 3.0
+        cannot index the Apery tuple."""
+        if type(x) is not int:
+            _check_ints(x=x)
         w = self._w
         return x >= 0 and x >= w[x % len(w)]
 
@@ -477,8 +485,9 @@ def enumerate_semigroups(
     the multiplicities run in ascending order and each position tries
     "x joins S" before "x is a gap".  Raises ResourceBound, up front,
     when max_multiplicity**2 exceeds ``search_ceiling`` (depth 1 costs
-    one node per multiplicity but lists an m-tuple for each), and when
-    the search tree exceeds ``search_ceiling`` nodes.  A last row is
+    one node per multiplicity but lists an m-tuple for each), when the
+    search would nest more than MAX_SEARCH_DEPTH calls, and when the
+    search tree exceeds ``search_ceiling`` nodes.  A last row is
     charged its whole subtree before any of it is built, so the node
     count, and the point where it trips, are those of a
     position-by-position search.  A multiplicity or depth that is not
@@ -498,6 +507,15 @@ def enumerate_semigroups(
         raise ResourceBound(
             f"multiplicity {_shown(max_multiplicity)} squared is over the"
             f" ceiling {search_ceiling}"
+        )
+
+    # one nested call per position below the last row: m * (max_depth - 2)
+    # at the largest m, when there is an m >= 2 to search
+    nesting = max_multiplicity * (max_depth - 2)
+    if max_multiplicity > 1 and nesting > MAX_SEARCH_DEPTH:
+        raise ResourceBound(
+            f"gap-set search {_shown(nesting)} positions deep is over the"
+            f" ceiling {MAX_SEARCH_DEPTH}"
         )
 
     apery: list[tuple[int, ...]] = []  # every leaf's Apery tuple, in order
@@ -529,13 +547,16 @@ def enumerate_semigroups(
         if not sums >> x & 1:
             extend(mask, sums, x + 1)
 
-    for m in range(2, max_multiplicity + 1):
-        bound = m * max_depth
-        x0 = max(m + 1, bound - m)
-        # the least member congruent to r so far, bound + r while there is none
-        least = [0, *range(bound + 1, bound + m)]
-        # 1 .. m-1 are gaps by definition of the multiplicity
-        extend(1 << m, 1 << 2 * m, m + 1)
+    try:
+        for m in range(2, max_multiplicity + 1):
+            bound = m * max_depth
+            x0 = max(m + 1, bound - m)
+            # the least member congruent to r so far, bound + r while there is none
+            least = [0, *range(bound + 1, bound + m)]
+            # 1 .. m-1 are gaps by definition of the multiplicity
+            extend(1 << m, 1 << 2 * m, m + 1)
+    finally:
+        del extend  # it holds itself through its closure: break that cycle
 
     found = NumericalSemigroup._trusted_many(apery)
     found.insert(0, NATURALS)

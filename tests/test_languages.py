@@ -508,7 +508,7 @@ def test_refute_q5():
 
 @pytest.mark.parametrize("q", range(5, 13))
 def test_refutation_matches_generate_and_filter(q):
-    # the span pairing admits exactly the decompositions a filter over
+    # the cut loops admit exactly the decompositions a filter over
     # every cut tuple keeps, in the same order, and pumps them alike
     for k_max in range(5):
         expected = naive_refutation(q, 1, k_max)
@@ -561,6 +561,15 @@ def test_refutation_at_p2_shares_its_pumped_words(monkeypatch):
     assert Counter((r.k, r.reason) for r in records) == {
         (0, "not_kunz"): 68_789, (2, "not_kunz"): 34_067}
     assert len({id(r.pumped) for r in records}) == len({r.pumped for r in records})
+
+
+def test_refutation_at_p2_reports_its_survivors():
+    # k = 0 and 1 leave every record that only k = 2 refutes unrefuted
+    with pytest.raises(NoRefutation) as exc_info:
+        bader_moura_refute(5, 2, 1, max_candidates=14_043_870)
+    records = exc_info.value.report.records
+    assert Counter((r.k, r.reason) for r in records) == {
+        (0, "not_kunz"): 68_789, (None, None): 34_067}
 
 
 def test_refute_q6():

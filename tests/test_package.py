@@ -2,6 +2,7 @@
 construction, defaults, validation, equality, hashing and immutability."""
 
 import copy
+import inspect
 import pickle
 import types
 
@@ -20,6 +21,7 @@ from kunzlab import (
     PositionMarking,
     RefutationRecord,
     RefutationReport,
+    ResourceBound,
     Violation,
     Word,
     bader_moura_refute,
@@ -364,3 +366,65 @@ def test_entry_points_take_exactly_int(call, message):
     build_kn_machine(3)  # a cached depth 3 must not answer for 3.0 or True
     with pytest.raises(DomainError, match=f"^{message}$"):
         call()
+
+
+# a valid call of each public callable, or public method of an exported
+# class, that takes an int, with every argument named, self too
+_VALID_CALLS = {
+    "Dfa": dict(states=frozenset({0, 1}), alphabet=frozenset({1}),
+                transition={(0, 1): 1, (1, 1): 1}, start=0, accepting=frozenset({1})),
+    "NumericalSemigroup": dict(small_elements=(0, 3, 5, 6, 8), conductor=8),
+    "NumericalSemigroup.contains": dict(self=from_generators([3, 5]), x=4),
+    "NumericalSemigroup.__contains__": dict(self=from_generators([3, 5]), x=4),
+    "bader_moura_refute": dict(q=5, p=1, k_max=4, max_candidates=10**4),
+    "count_kunz": dict(q=3, length=4, max_candidates=10**4),
+    "enumerate_kunz": dict(q=3, length=4, max_candidates=10**4),
+    "enumerate_semigroups": dict(max_multiplicity=4, max_depth=3, search_ceiling=10**4),
+    "in_kunz_language": dict(word=Word((1, 2, 3)), q=3),
+    "mark_for_refutation": dict(word=Word((1, 2, 3)), q=3),
+    "nerode_evidence": dict(q=3, cutoff=4),
+    "pump": dict(word=Word((1, 2, 3)), decomposition=Decomposition((0, 1, 1, 2)), k=2),
+    "witness_kunz": dict(q=3, n=2),
+    "witness_nonkunz": dict(q=3, n=2, m=1),
+}
+
+
+def _int_parameters():
+    """(name, callable, int parameter) for each exported callable and each
+    public method of an exported class, read from the signatures."""
+    for name in kunzlab.__all__:
+        value = getattr(kunzlab, name)
+        if not callable(value) or isinstance(value, type) and issubclass(value, Exception):
+            continue  # the error classes take a message, or a report
+        found = [(name, value)]
+        if isinstance(value, type):
+            found += [(f"{name}.{attr}", method) for attr, method in vars(value).items()
+                      if inspect.isfunction(method)
+                      and (attr == "__contains__" or attr[0] != "_")]
+        for label, call in found:
+            for param in inspect.signature(call).parameters.values():
+                if param.annotation in ("int", int):
+                    yield label, call, param.name
+
+
+_INT_PARAMETERS = list(_int_parameters())
+
+
+@pytest.mark.parametrize("label,call,param", _INT_PARAMETERS,
+                         ids=[f"{label}-{param}" for label, _, param in _INT_PARAMETERS])
+def test_int_parameters_take_exactly_int(label, call, param):
+    """Each int parameter, read from the signatures, refuses a bool, a
+    float, a str and None as a DomainError, not read as 1 or 2; and it
+    answers -1 and 10**100 or refuses them as a DomainError or a
+    ResourceBound: never a TypeError, MemoryError, RecursionError or a
+    fault of the package's own."""
+    valid = _VALID_CALLS[label]
+    call(**valid)
+    for bad in (True, 2.0, "3", None):
+        with pytest.raises(DomainError):
+            call(**{**valid, param: bad})
+    for extreme in (-1, 10**100):
+        try:
+            call(**{**valid, param: extreme})
+        except (DomainError, ResourceBound):
+            pass

@@ -1,3 +1,4 @@
+import gc
 import heapq
 import math
 import random
@@ -20,7 +21,7 @@ from kunzlab import (
     witness_kunz,
 )
 from kunzlab import semigroups
-from kunzlab.semigroups import MAX_CONDUCTOR, MAX_WITNESS_LENGTH, from_apery
+from kunzlab.semigroups import MAX_CONDUCTOR, MAX_SEARCH_DEPTH, MAX_WITNESS_LENGTH, from_apery
 from conftest import (
     kunz_tuple_ok,
     naive_conductor,
@@ -439,6 +440,37 @@ def test_enumerate_node_count_is_pinned(cell, nodes):
     assert len(enumerate_semigroups(*cell, search_ceiling=nodes)) > 1
     with pytest.raises(ResourceBound, match=f"gap-set search exceeded {nodes - 1} nodes"):
         enumerate_semigroups(*cell, search_ceiling=nodes - 1)
+
+
+def test_enumerate_refuses_a_search_too_deep_to_recurse():
+    # one nested call per position below the last row, m * (depth - 2) at
+    # the largest m: (2, 452) is 900 deep and answers, also under pytest's
+    # frames; deeper cells are refused before any search, not ended in a
+    # RecursionError
+    assert MAX_SEARCH_DEPTH == 900
+    assert len(enumerate_semigroups(2, 452)) == 453
+    for cell, nesting in [((2, 453), "902"), ((2, 501), "998"), ((3, 10**6), "2999994"),
+                          ((2, 10**100), "2\\^64 or more")]:
+        with pytest.raises(ResourceBound, match=f"^gap-set search {nesting} positions deep"
+                           " is over the ceiling 900$"):
+            enumerate_semigroups(*cell)
+    # no multiplicity above 1 to search: N alone, at any depth
+    assert enumerate_semigroups(1, 10**6) == [NATURALS]
+
+
+def test_enumerate_leaves_no_reference_cycle():
+    # the nested search refers to itself; the cycle is broken on return
+    # and on a refusal alike, so nothing is left for the collector
+    gc.disable()
+    try:
+        gc.collect()
+        assert len(enumerate_semigroups(7, 4)) == 2_349
+        assert gc.collect() == 0
+        with pytest.raises(ResourceBound, match="exceeded 11598 nodes"):
+            enumerate_semigroups(7, 4, search_ceiling=11_598)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_enumerate_refuses_a_square_output_up_front():
