@@ -15,10 +15,51 @@ Python-level call per instance.  Both set the fields through the class's
 one tuple of slot setters, which Frozen.__setattr__ does not guard.
 Only the classes whose instances are compared by value derive from
 Value; the rest compare by identity and keep the default repr.
+
+The producers that build such values in bulk (the two censuses, the
+Nerode and pumping reports and their wire forms) run under
+_paused_collector.  Every value built valid by construction holds only
+ints, strings, None, tuples, frozensets and other such values, and a
+wire form only dicts and lists of those, never a reference back to
+itself, so CPython's cyclic collector can free none of it.  Left on, the
+collector is started by the allocations themselves: its young
+collections walk the new objects, its older ones walk them again, and
+its full ones walk the whole heap, the caller's objects included, so
+the waste grows with the result and with the caller's heap.  What the
+pause costs: the collector's enabled flag is process-wide, so no
+thread's allocations start a collection until the producer ends, and a
+gc.disable() made by another thread meanwhile is undone then; and what
+was allocated during the pause is walked once, by the first young
+collection after it.
 """
 
+import gc
 from collections import deque
+from functools import wraps
 from itertools import repeat
+
+
+def _paused_collector(produce):
+    """produce, run with the cyclic garbage collector disabled and enabled
+    again however it returns or raises.  If the collector was already
+    disabled, it is left alone, so a caller's own pause, or an enclosing
+    producer's, is kept.  Only for producers whose results are acyclic
+    and which leave no cyclic garbage of their own (see the module
+    docstring): then the pause delays no freeing, since reference counting
+    frees all they drop, and only skips the collections that would walk
+    the result while it is built."""
+
+    @wraps(produce)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return produce(*args, **kwargs)
+        gc.disable()
+        try:
+            return produce(*args, **kwargs)
+        finally:
+            gc.enable()
+
+    return paused
 
 
 class Frozen:

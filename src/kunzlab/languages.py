@@ -18,7 +18,7 @@ from math import comb
 from operator import sub
 from typing import Iterable, Iterator, Mapping
 
-from ._frozen import Frozen
+from ._frozen import Frozen, _paused_collector
 from .errors import (
     DomainError,
     InvalidDecomposition,
@@ -59,7 +59,11 @@ class Dfa(Frozen):
         start: int,
         accepting: frozenset[int],
     ):
-        _check_ints(start=start)  # True == 1 would pass as state 1
+        # exactly int throughout: True == 1 and 1.0 == 1 would pass as 1
+        _check_ints(states, "the states", start=start)
+        _check_ints(alphabet, "the alphabet")
+        _check_ints(accepting, "the accepting states")
+        _check_ints(transition.values(), "the transition targets")
         if start not in states:
             raise DomainError("start state unknown")
         if not accepting <= states:
@@ -136,22 +140,32 @@ def _blocks_kunz(sizes: tuple[int, ...]) -> bool:
 
 
 def _check_census(q: int, length: int, max_candidates: int, *,
-                  by_subsets: bool = False) -> None:
+                  counting: bool = False) -> None:
     """Argument and ceiling checks shared by the two census functions.
     The walk covers at most q**length candidate words, and costs
     O(length**2) interval work even on one word, so either count over
-    max_candidates refuses the cell.  Both apply at q <= 2 too, where the
-    answer is in closed form and no walk runs.  count_kunz at q = 3 passes
-    by_subsets: it makes one _k3_subsets call per set of 1-positions and
-    no interval call, so its one charge is those 2**length sets.  A
-    ceiling below 1 is refused before any cell is looked at, and a depth
-    or length that is not an int before either."""
+    max_candidates refuses the cell.  A listing is charged both at every
+    q, since it builds the words even where no walk runs (q <= 2).
+    count_kunz passes counting, and where it does not walk it is charged
+    what it does instead: at q <= 2 it builds one number, of length bits
+    at q = 2 and 0 or 1 at q = 1, so that is its charge; at q = 3 it makes
+    one _k3_subsets call per set of 1-positions and no interval call, so
+    its one charge is those 2**length sets.  A ceiling below 1 is refused
+    before any cell is looked at, and a depth or length that is not an
+    int before either."""
     _check_ints(q=q, length=length)
     if q < 0 or length < 0:
         raise DomainError("depth and length must be nonnegative")
     _check_at_least_one(max_candidates, "the candidate ceiling")
     if not q:  # K_0 is the empty word alone, so its cells are never refused
         return
+    if counting and q <= 2:
+        if q == 2 and length > max_candidates:
+            raise ResourceBound(
+                f"a count of {_shown(length)} bits exceeds the ceiling {max_candidates}"
+            )
+        return
+    by_subsets = counting and q == 3
     base, unit = (2, "sets of 1-positions") if by_subsets else (q, "candidate words")
     # base**length >= 2**length for base >= 2, so capping the exponent past
     # both 64 and the ceiling's bit length keeps the verdict and the
@@ -254,6 +268,7 @@ def _k3_subsets(length: int, bits: int, mask: int, sums: int, top: int) -> int:
     return total
 
 
+@_paused_collector
 def enumerate_kunz(
     q: int,
     length: int,
@@ -296,9 +311,10 @@ def count_kunz(q: int, length: int, *, max_candidates: int = DEFAULT_CANDIDATE_C
     """len(enumerate_kunz(q, length)), building no words.
 
     At q <= 2 it is q**length - (q-1)**length, the words over {1..q} that
-    hold a q.  At q = 3 the second Kunz condition cannot fail, since
-    u_i + u_j + 1 >= 3, and the first fails only where u_i = u_j = 1 and
-    u_{i+j} = 3.  So given the set A of 1-positions, the other positions
+    hold a q, and the ceiling charges the length bits of that number at
+    q = 2 and nothing at q = 1, where it is 1.  At q = 3 the second Kunz
+    condition cannot fail, since u_i + u_j + 1 >= 3, and the first fails
+    only where u_i = u_j = 1 and u_{i+j} = 3.  So given the set A of 1-positions, the other positions
     of A + A must hold 2 and the rest are free in {2, 3}:
 
         count_kunz(3, l) = sum over A in [1, l] of 2**(l - f(A)) - 2**l,
@@ -311,7 +327,7 @@ def count_kunz(q: int, length: int, *, max_candidates: int = DEFAULT_CANDIDATE_C
     enumerate_kunz's walk and ceiling, each prefix adding the sizes of
     its last intervals.
     """
-    _check_census(q, length, max_candidates, by_subsets=q == 3)
+    _check_census(q, length, max_candidates, counting=True)
     if q == 0 or length < 2:
         return int((q == 0) == (length == 0))
     if q <= 2:
@@ -352,6 +368,7 @@ class NerodeSeparation(Frozen):
 class NerodeReport(Frozen):
     __slots__ = ("depth", "cutoff", "separations")
 
+    @_paused_collector
     def to_json_list(self) -> list[dict]:
         """Each separation's wire form.  The separations of one i share one
         suffix Word (see nerode_evidence), so each Word object is rendered
@@ -361,6 +378,7 @@ class NerodeReport(Frozen):
         return [s._json_dict(shown[id(s.suffix)]) for s in self.separations]
 
 
+@_paused_collector
 def nerode_evidence(q: int, cutoff: int) -> NerodeReport:
     """Pairwise separations of the prefixes 1^1 .. 1^cutoff for K_q.
 
@@ -506,6 +524,7 @@ class RefutationReport(Frozen):
     def all_refuted(self) -> bool:
         return not self.unrefuted
 
+    @_paused_collector
     def to_json_list(self) -> list[dict]:
         """Each record's wire form.  Records that pump to equal words share
         one Word (see bader_moura_refute), so each Word object is rendered
@@ -556,6 +575,7 @@ def _attack(word: Word, sizes: tuple[int, ...], cuts: tuple, k_max: int, seen: d
     return None, None, None
 
 
+@_paused_collector
 def bader_moura_refute(
     q: int,
     p: int,

@@ -28,7 +28,7 @@ from bisect import bisect_left, bisect_right
 from itertools import chain, compress, count, product
 from typing import Iterable, Sequence
 
-from ._frozen import Value
+from ._frozen import Value, _paused_collector
 from .errors import (
     DomainError,
     NotCofinite,
@@ -451,6 +451,7 @@ def _last_row(
     return nodes, choices
 
 
+@_paused_collector
 def enumerate_semigroups(
     max_multiplicity: int,
     max_depth: int,

@@ -68,6 +68,22 @@ def test_dfa_validation():
             transition={(0, 1): 0}, start=0, accepting=frozenset({1}))
 
 
+@pytest.mark.parametrize("field,value,what", [
+    ("states", frozenset({0, True}), "the states"),
+    ("alphabet", frozenset({1.0}), "the alphabet"),
+    ("accepting", frozenset({True}), "the accepting states"),
+    ("transition", {(0, 1): 1.0, (1, 1): 1}, "the transition targets"),
+])
+def test_dfa_takes_exactly_int(field, value, what):
+    # True == 1 and 1.0 == 1, so each would pass every membership test as 1
+    fields = dict(states=frozenset({0, 1}), alphabet=frozenset({1}),
+                  transition={(0, 1): 1, (1, 1): 1}, start=0,
+                  accepting=frozenset({1}))
+    Dfa(**fields)
+    with pytest.raises(DomainError, match=f"{what} must hold integers"):
+        Dfa(**{**fields, field: value})
+
+
 def test_dfa_k2_equals_membership_oracle():
     d = dfa_k2()
     for w in all_words((1, 2), 9):
@@ -141,16 +157,22 @@ def test_regular_census_needs_no_walk(monkeypatch):
         raise AssertionError("census walked")
 
     monkeypatch.setattr(languages, "_letter_bounds", refuse)
-    assert count_kunz(2, 40, max_candidates=2**40) == 2**40 - 1
+    assert count_kunz(2, 40) == 2**40 - 1
+    assert count_kunz(2, 24) == 2**24 - 1
     assert count_kunz(1, 40) == 1
+    assert count_kunz(1, 3163) == 1
     for length in range(13):
         for q in (1, 2):
             want = naive_census(q, length)
             assert [w.letters for w in enumerate_kunz(q, length)] == want
             assert count_kunz(q, length) == len(want)
-    # the ceilings still refuse, as for a walked cell
+    # a count is charged the bits of the number it builds, none at q = 1;
+    # a listing keeps the walk's ceilings
+    with pytest.raises(ResourceBound, match="a count of 41 bits exceeds the ceiling 40"):
+        count_kunz(2, 41, max_candidates=40)
+    assert count_kunz(1, 10**6, max_candidates=1) == 1
     with pytest.raises(ResourceBound, match="1099511627776 candidate words"):
-        count_kunz(2, 40)
+        enumerate_kunz(2, 40)
     with pytest.raises(ResourceBound, match="length 101 needs 10201 interval steps"):
         enumerate_kunz(1, 101, max_candidates=10_000)
     with pytest.raises(AssertionError, match="census walked"):
@@ -249,12 +271,12 @@ def test_census_refuses_a_ceiling_below_one(ceiling, shown):
 
 
 def test_depth_one_census_ceiling():
-    # one candidate word, but length**2 interval work
-    assert count_kunz(1, 100, max_candidates=10_000) == 1
+    # one candidate word, but length**2 interval work to list it; the count
+    # is 1 in closed form, and is charged nothing
     assert enumerate_kunz(1, 100, max_candidates=10_000) == [Word((1,) * 100)]
-    for census in (count_kunz, enumerate_kunz):
-        with pytest.raises(ResourceBound, match="length 101 needs 10201 interval steps"):
-            census(1, 101, max_candidates=10_000)
+    with pytest.raises(ResourceBound, match="length 101 needs 10201 interval steps"):
+        enumerate_kunz(1, 101, max_candidates=10_000)
+    assert count_kunz(1, 101, max_candidates=10_000) == 1
 
 
 def test_nerode_small():

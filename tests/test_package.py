@@ -1,7 +1,9 @@
 """The package's exported names and the semantics of its value classes:
-construction, defaults, validation, equality, hashing and immutability."""
+construction, defaults, validation, equality, hashing and immutability;
+and the collector pause of the producers that build them in bulk."""
 
 import copy
+import gc
 import inspect
 import pickle
 import types
@@ -17,6 +19,7 @@ from kunzlab import (
     InvalidDecomposition,
     NerodeReport,
     NerodeSeparation,
+    NoRefutation,
     NumericalSemigroup,
     PositionMarking,
     RefutationRecord,
@@ -27,6 +30,7 @@ from kunzlab import (
     bader_moura_refute,
     count_kunz,
     dfa_k2,
+    enumerate_kunz,
     enumerate_semigroups,
     from_generators,
     nerode_evidence,
@@ -34,6 +38,7 @@ from kunzlab import (
     witness_kunz,
     witness_nonkunz,
 )
+from kunzlab import languages, semigroups
 from kunzlab._frozen import Frozen, Value
 from kunzlab.lba import (
     MachineBuilder,
@@ -428,3 +433,60 @@ def test_int_parameters_take_exactly_int(label, call, param):
             call(**{**valid, param: extreme})
         except (DomainError, ResourceBound):
             pass
+
+
+# Each bulk producer, and one private helper it calls while it builds,
+# through which a test can see whether the collector is on meanwhile.
+_PRODUCERS = [
+    (lambda: enumerate_semigroups(7, 4), semigroups, "_last_row"),
+    (lambda: enumerate_kunz(3, 6), languages, "_last_letters"),
+    (lambda: nerode_evidence(3, 5), languages, "_blocks_kunz"),
+    (lambda: bader_moura_refute(5, 1, 4), languages, "_attack"),
+    (nerode_evidence(3, 5).to_json_list, NerodeSeparation, "_json_dict"),
+    (bader_moura_refute(5, 1, 4).to_json_list, RefutationRecord, "_json_dict"),
+]
+_PRODUCER_IDS = ["enumerate_semigroups", "enumerate_kunz", "nerode_evidence",
+                 "bader_moura_refute", "NerodeReport.to_json_list",
+                 "RefutationReport.to_json_list"]
+
+
+@pytest.mark.parametrize("produce,owner,helper", _PRODUCERS, ids=_PRODUCER_IDS)
+def test_bulk_producers_pause_the_collector(monkeypatch, produce, owner, helper):
+    """The collector is off while a bulk producer builds, on again after it
+    returns, and left off when the caller had turned it off."""
+    seen = []
+    original = getattr(owner, helper)
+
+    def spy(*args, **kwargs):
+        seen.append(gc.isenabled())
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, helper, spy)
+    assert gc.isenabled()
+    produce()
+    assert gc.isenabled()
+    assert seen and not any(seen)
+    gc.disable()
+    try:
+        produce()
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("produce,error", [
+    (lambda: enumerate_semigroups(10, 4, search_ceiling=1000), ResourceBound),
+    (lambda: bader_moura_refute(6, 1, 1), NoRefutation),
+], ids=["refused-mid-search", "no-refutation"])
+def test_bulk_producers_restore_the_collector_when_they_raise(produce, error):
+    assert gc.isenabled()
+    with pytest.raises(error):
+        produce()
+    assert gc.isenabled()
+    gc.disable()
+    try:
+        with pytest.raises(error):
+            produce()
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
