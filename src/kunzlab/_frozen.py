@@ -16,21 +16,21 @@ one tuple of slot setters, which Frozen.__setattr__ does not guard.
 Only the classes whose instances are compared by value derive from
 Value; the rest compare by identity and keep the default repr.
 
-The producers that build such values in bulk (the two censuses, the
-Nerode and pumping reports and their wire forms) run under
-_paused_collector.  Every value built valid by construction holds only
-ints, strings, None, tuples, frozensets and other such values, and a
-wire form only dicts and lists of those, never a reference back to
-itself, so CPython's cyclic collector can free none of it.  Left on, the
-collector is started by the allocations themselves: its young
-collections walk the new objects, its older ones walk them again, and
-its full ones walk the whole heap, the caller's objects included, so
-the waste grows with the result and with the caller's heap.  What the
-pause costs: the collector's enabled flag is process-wide, so no
-thread's allocations start a collection until the producer ends, and a
-gc.disable() made by another thread meanwhile is undone then; and what
-was allocated during the pause is walked once, by the first young
-collection after it.
+The gap-set census, semigroups.enumerate_semigroups, runs under
+_paused_collector: it builds tens of thousands of tuples and semigroups
+in one call, and the collector's walks of them took a tenth to a fifth
+of its time (see README).  Every value built valid by construction
+holds only ints, strings, None, tuples, frozensets and other such
+values, never a reference back to itself, so CPython's cyclic collector
+can free none of it.  Left on, the collector is started by the
+allocations themselves: its young collections walk the new objects, its
+older ones walk them again, and its full ones walk the whole heap, the
+caller's objects included, so the waste grows with the result and with
+the caller's heap.  What the pause costs: the collector's enabled flag
+is process-wide, so no thread's allocations start a collection until
+the producer ends, and a gc.disable() made by another thread meanwhile
+is undone then; and what was allocated during the pause is walked once,
+by the first young collection after it.
 """
 
 import gc

@@ -13,12 +13,13 @@ finite, re-checkable certificate at a time.
 from __future__ import annotations
 
 import itertools
+import sys
 from bisect import bisect_left, bisect_right
 from math import comb
 from operator import sub
 from typing import Iterable, Iterator, Mapping
 
-from ._frozen import Frozen, _paused_collector
+from ._frozen import Frozen
 from .errors import (
     DomainError,
     InvalidDecomposition,
@@ -139,46 +140,40 @@ def _blocks_kunz(sizes: tuple[int, ...]) -> bool:
                for a in range(1, (top + 1) // 2))
 
 
-def _check_census(q: int, length: int, max_candidates: int, *,
-                  counting: bool = False) -> None:
-    """Argument and ceiling checks shared by the two census functions.
-    The walk covers at most q**length candidate words, and costs
-    O(length**2) interval work even on one word, so either count over
-    max_candidates refuses the cell.  A listing is charged both at every
-    q, since it builds the words even where no walk runs (q <= 2).
-    count_kunz passes counting, and where it does not walk it is charged
-    what it does instead: at q <= 2 it builds one number, of length bits
-    at q = 2 and 0 or 1 at q = 1, so that is its charge; at q = 3 it makes
-    one _k3_subsets call per set of 1-positions and no interval call, so
-    its one charge is those 2**length sets.  A ceiling below 1 is refused
-    before any cell is looked at, and a depth or length that is not an
-    int before either."""
+def _check_census_args(q: int, length: int, max_candidates: int) -> None:
+    """The argument checks of the two census functions: a ceiling below 1
+    is refused before any cell is looked at, and a depth or length that
+    is not an int before either."""
     _check_ints(q=q, length=length)
     if q < 0 or length < 0:
         raise DomainError("depth and length must be nonnegative")
     _check_at_least_one(max_candidates, "the candidate ceiling")
-    if not q:  # K_0 is the empty word alone, so its cells are never refused
-        return
-    if counting and q <= 2:
-        if q == 2 and length > max_candidates:
-            raise ResourceBound(
-                f"a count of {_shown(length)} bits exceeds the ceiling {max_candidates}"
-            )
-        return
-    by_subsets = counting and q == 3
-    base, unit = (2, "sets of 1-positions") if by_subsets else (q, "candidate words")
+
+
+def _check_power(base: int, length: int, max_candidates: int, unit: str) -> None:
+    """ResourceBound if base**length units exceed max_candidates."""
     # base**length >= 2**length for base >= 2, so capping the exponent past
     # both 64 and the ceiling's bit length keeps the verdict and the
     # message and never builds a number of length bits
     charge = base ** min(length, max(64, max_candidates.bit_length() + 1))
     if charge > max_candidates:
         raise ResourceBound(
-            f"{_shown(charge)} {unit} exceed the ceiling {max_candidates}"
+            f"{_shown(charge)} {unit} exceed the ceiling {_shown(max_candidates)}"
         )
-    if not by_subsets and length**2 > max_candidates:
+
+
+def _check_walk(q: int, length: int, max_candidates: int) -> None:
+    """The walk's ceiling.  It covers at most q**length candidate words,
+    and costs O(length**2) interval work even on one word, so either
+    count over max_candidates refuses the cell.  A listing is charged
+    both at q <= 2 too, where no walk runs but every word is built."""
+    if not q:  # K_0 is the empty word alone, so its cells are never refused
+        return
+    _check_power(q, length, max_candidates, "candidate words")
+    if length**2 > max_candidates:
         raise ResourceBound(
             f"length {_shown(length)} needs {_shown(length**2)} interval steps,"
-            f" over the ceiling {max_candidates}"
+            f" over the ceiling {_shown(max_candidates)}"
         )
 
 
@@ -268,7 +263,6 @@ def _k3_subsets(length: int, bits: int, mask: int, sums: int, top: int) -> int:
     return total
 
 
-@_paused_collector
 def enumerate_kunz(
     q: int,
     length: int,
@@ -288,9 +282,10 @@ def enumerate_kunz(
     _last_letters).  Both paths yield letters in [1, q] by construction,
     so the words are built in bulk, without Word's letter check.  The
     ceiling applies to all q**length candidates and to the length**2
-    interval work (see _check_census), at every q.
+    interval work (see _check_walk), at every q.
     """
-    _check_census(q, length, max_candidates)
+    _check_census_args(q, length, max_candidates)
+    _check_walk(q, length, max_candidates)
     if q == 0 or length < 2:
         # K_0 is the empty word alone, and K_q's one word of length 1 is q
         return [Word._trusted((q,) * length)] if (q == 0) == (length == 0) else []
@@ -311,11 +306,13 @@ def count_kunz(q: int, length: int, *, max_candidates: int = DEFAULT_CANDIDATE_C
     """len(enumerate_kunz(q, length)), building no words.
 
     At q <= 2 it is q**length - (q-1)**length, the words over {1..q} that
-    hold a q, and the ceiling charges the length bits of that number at
-    q = 2 and nothing at q = 1, where it is 1.  At q = 3 the second Kunz
-    condition cannot fail, since u_i + u_j + 1 >= 3, and the first fails
-    only where u_i = u_j = 1 and u_{i+j} = 3.  So given the set A of 1-positions, the other positions
-    of A + A must hold 2 and the rest are free in {2, 3}:
+    hold a q.  No walk runs, so the ceiling charges the length bits of
+    that number at q = 2, and nothing at q = 1, where it is 1; a number
+    of more decimal digits than Python prints (sys.get_int_max_str_digits)
+    is refused too.  At q = 3 the second Kunz condition cannot fail,
+    since u_i + u_j + 1 >= 3, and the first fails only where u_i = u_j = 1
+    and u_{i+j} = 3.  So given the set A of 1-positions, the other
+    positions of A + A must hold 2 and the rest are free in {2, 3}:
 
         count_kunz(3, l) = sum over A in [1, l] of 2**(l - f(A)) - 2**l,
 
@@ -323,11 +320,29 @@ def count_kunz(q: int, length: int, *, max_candidates: int = DEFAULT_CANDIDATE_C
     term removes each A's one word that holds no 3.  _k3_subsets adds
     the terms depth first, one call per set, and the ceiling charges
     those 2**l sets in place of the walk's 3**l candidates and l**2
-    interval steps (see _check_census).  From q = 4 on the count takes
-    enumerate_kunz's walk and ceiling, each prefix adding the sizes of
-    its last intervals.
+    interval steps.  From q = 4 on the count takes enumerate_kunz's walk
+    and ceiling, each prefix adding the sizes of its last intervals.
     """
-    _check_census(q, length, max_candidates, counting=True)
+    _check_census_args(q, length, max_candidates)
+    if q == 2:
+        if length > max_candidates:
+            raise ResourceBound(
+                f"a count of {_shown(length)} bits exceeds the ceiling {_shown(max_candidates)}"
+            )
+        # Python prints 2**length - 1 iff it has at most `digits` decimal
+        # digits, iff 2**length < 10**digits, iff length is below the bit
+        # length of 10**digits, as it is below 3 * digits; 0 is no limit,
+        # as is a Python that has no limit to read
+        digits = getattr(sys, "get_int_max_str_digits", int)()
+        if digits and length >= 3 * digits and length >= (10**digits).bit_length():
+            raise ResourceBound(
+                f"a count of {_shown(length)} bits exceeds the ceiling of"
+                f" {digits} decimal digits that Python prints"
+            )
+    elif q == 3:
+        _check_power(2, length, max_candidates, "sets of 1-positions")
+    elif q > 3:
+        _check_walk(q, length, max_candidates)
     if q == 0 or length < 2:
         return int((q == 0) == (length == 0))
     if q <= 2:
@@ -368,7 +383,6 @@ class NerodeSeparation(Frozen):
 class NerodeReport(Frozen):
     __slots__ = ("depth", "cutoff", "separations")
 
-    @_paused_collector
     def to_json_list(self) -> list[dict]:
         """Each separation's wire form.  The separations of one i share one
         suffix Word (see nerode_evidence), so each Word object is rendered
@@ -378,7 +392,6 @@ class NerodeReport(Frozen):
         return [s._json_dict(shown[id(s.suffix)]) for s in self.separations]
 
 
-@_paused_collector
 def nerode_evidence(q: int, cutoff: int) -> NerodeReport:
     """Pairwise separations of the prefixes 1^1 .. 1^cutoff for K_q.
 
@@ -524,7 +537,6 @@ class RefutationReport(Frozen):
     def all_refuted(self) -> bool:
         return not self.unrefuted
 
-    @_paused_collector
     def to_json_list(self) -> list[dict]:
         """Each record's wire form.  Records that pump to equal words share
         one Word (see bader_moura_refute), so each Word object is rendered
@@ -575,7 +587,6 @@ def _attack(word: Word, sizes: tuple[int, ...], cuts: tuple, k_max: int, seen: d
     return None, None, None
 
 
-@_paused_collector
 def bader_moura_refute(
     q: int,
     p: int,

@@ -493,6 +493,12 @@ def enumerate_semigroups(
     count, and the point where it trips, are those of a
     position-by-position search.  A multiplicity or depth that is not
     exactly an int, and a ``search_ceiling`` below 1, are DomainErrors.
+
+    It runs with CPython's cyclic garbage collector paused, since what it
+    builds holds no cycle (see _frozen._paused_collector).  The switch is
+    process-wide: no other thread's allocations start a collection until
+    it returns, and a gc.disable() another thread makes meanwhile is
+    undone then.  A caller that disabled the collector keeps it disabled.
     """
     _check_ints(max_multiplicity=max_multiplicity, max_depth=max_depth)
     if max_multiplicity < 1:

@@ -251,16 +251,17 @@ def test_lba_step_budget_is_not_a_usage_error():
     ["pumping", "--depth", "100000", "--p", "2", "--kmax", "1"],
     ["nerode", "--depth", "3", "--max", "7" * 1200],
     ["witness", "--kunz", "9" * 3000, "9" * 3000],
+    ["enumerate", "--depth", "2", "--length", "15000", "--count-only"],
 ], ids=["witness-kunz", "witness-nonkunz", "nerode-cutoff", "nerode-depth",
         "pumping-witness", "enumerate-depth1", "validate-long-word",
         "semigroup-long-word", "enumerate-huge-count", "pumping-huge-exponent",
-        "nerode-huge-cutoff", "witness-huge-length"])
+        "nerode-huge-cutoff", "witness-huge-length", "enumerate-unprintable-count"])
 def test_extreme_witness_and_nerode_arguments_are_refused(argv):
     """Each would build billions of letters, run for minutes or more, or
     list Theta(l^2) violations (one argument holds about 65K letters, and
     4,097 is the fewest refused); the up-front ceilings refuse them before
     any of that work.  Sizes of over 4,300 digits, which Python cannot
-    print, are refused as "2^64 or more"."""
+    print, are refused as "2^64 or more", and so is a count that long."""
     env = dict(os.environ, PYTHONPATH=str(Path(kunzlab.__file__).parents[1]))
     proc = subprocess.run(
         [sys.executable, "-m", "kunzlab", *argv],

@@ -1,6 +1,7 @@
 import itertools
 import random
 import re
+import sys
 from collections import Counter
 
 import pytest
@@ -177,6 +178,27 @@ def test_regular_census_needs_no_walk(monkeypatch):
         enumerate_kunz(1, 101, max_candidates=10_000)
     with pytest.raises(AssertionError, match="census walked"):
         enumerate_kunz(3, 3)
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="this Python prints ints of any size")
+def test_regular_count_python_cannot_print_is_refused():
+    # 2**l - 1 has at most 4,300 decimal digits, Python's default limit,
+    # up to l = 14,284; past it the count is refused, whatever the ceiling
+    digits = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        assert len(str(count_kunz(2, 14_284))) == 4300
+        for ceiling in (10**7, 10**9):
+            with pytest.raises(ResourceBound, match="ceiling of 4300 decimal digits"):
+                count_kunz(2, 14_285, max_candidates=ceiling)
+        # the tighter of the two ceilings is the one named
+        with pytest.raises(ResourceBound, match="bits exceeds the ceiling 15000$"):
+            count_kunz(2, 15_001, max_candidates=15_000)
+        sys.set_int_max_str_digits(0)  # no limit: the candidate ceiling alone
+        assert count_kunz(2, 14_285) == 2**14_285 - 1
+    finally:
+        sys.set_int_max_str_digits(digits)
 
 
 @pytest.mark.parametrize("cell,nodes", [((5, 9), 29_538), ((3, 12), 34_855)])

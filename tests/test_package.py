@@ -1,6 +1,6 @@
 """The package's exported names and the semantics of its value classes:
 construction, defaults, validation, equality, hashing and immutability;
-and the collector pause of the producers that build them in bulk."""
+and the collector pause of the gap-set census, which builds them in bulk."""
 
 import copy
 import gc
@@ -19,7 +19,6 @@ from kunzlab import (
     InvalidDecomposition,
     NerodeReport,
     NerodeSeparation,
-    NoRefutation,
     NumericalSemigroup,
     PositionMarking,
     RefutationRecord,
@@ -30,7 +29,6 @@ from kunzlab import (
     bader_moura_refute,
     count_kunz,
     dfa_k2,
-    enumerate_kunz,
     enumerate_semigroups,
     from_generators,
     nerode_evidence,
@@ -38,7 +36,7 @@ from kunzlab import (
     witness_kunz,
     witness_nonkunz,
 )
-from kunzlab import languages, semigroups
+from kunzlab import semigroups
 from kunzlab._frozen import Frozen, Value
 from kunzlab.lba import (
     MachineBuilder,
@@ -435,58 +433,39 @@ def test_int_parameters_take_exactly_int(label, call, param):
             pass
 
 
-# Each bulk producer, and one private helper it calls while it builds,
-# through which a test can see whether the collector is on meanwhile.
-_PRODUCERS = [
-    (lambda: enumerate_semigroups(7, 4), semigroups, "_last_row"),
-    (lambda: enumerate_kunz(3, 6), languages, "_last_letters"),
-    (lambda: nerode_evidence(3, 5), languages, "_blocks_kunz"),
-    (lambda: bader_moura_refute(5, 1, 4), languages, "_attack"),
-    (nerode_evidence(3, 5).to_json_list, NerodeSeparation, "_json_dict"),
-    (bader_moura_refute(5, 1, 4).to_json_list, RefutationRecord, "_json_dict"),
-]
-_PRODUCER_IDS = ["enumerate_semigroups", "enumerate_kunz", "nerode_evidence",
-                 "bader_moura_refute", "NerodeReport.to_json_list",
-                 "RefutationReport.to_json_list"]
-
-
-@pytest.mark.parametrize("produce,owner,helper", _PRODUCERS, ids=_PRODUCER_IDS)
-def test_bulk_producers_pause_the_collector(monkeypatch, produce, owner, helper):
-    """The collector is off while a bulk producer builds, on again after it
-    returns, and left off when the caller had turned it off."""
+def test_gap_set_census_pauses_the_collector(monkeypatch):
+    """The collector is off while the gap-set census builds, on again
+    after it returns, and left off when the caller had turned it off."""
     seen = []
-    original = getattr(owner, helper)
+    original = semigroups._last_row
 
-    def spy(*args, **kwargs):
+    def spy(*args):
         seen.append(gc.isenabled())
-        return original(*args, **kwargs)
+        return original(*args)
 
-    monkeypatch.setattr(owner, helper, spy)
+    monkeypatch.setattr(semigroups, "_last_row", spy)
     assert gc.isenabled()
-    produce()
+    enumerate_semigroups(7, 4)
     assert gc.isenabled()
     assert seen and not any(seen)
     gc.disable()
     try:
-        produce()
+        enumerate_semigroups(7, 4)
         assert not gc.isenabled()
     finally:
         gc.enable()
 
 
-@pytest.mark.parametrize("produce,error", [
-    (lambda: enumerate_semigroups(10, 4, search_ceiling=1000), ResourceBound),
-    (lambda: bader_moura_refute(6, 1, 1), NoRefutation),
-], ids=["refused-mid-search", "no-refutation"])
-def test_bulk_producers_restore_the_collector_when_they_raise(produce, error):
+def test_gap_set_census_restores_the_collector_when_refused():
+    # refused mid-search, after nodes were counted and rows were built
     assert gc.isenabled()
-    with pytest.raises(error):
-        produce()
+    with pytest.raises(ResourceBound, match="exceeded 1000 nodes"):
+        enumerate_semigroups(10, 4, search_ceiling=1000)
     assert gc.isenabled()
     gc.disable()
     try:
-        with pytest.raises(error):
-            produce()
+        with pytest.raises(ResourceBound, match="exceeded 1000 nodes"):
+            enumerate_semigroups(10, 4, search_ceiling=1000)
         assert not gc.isenabled()
     finally:
         gc.enable()
