@@ -31,8 +31,14 @@ from .errors import (
     _check_ints,
     _shown,
 )
-from .semigroups import _letter_bounds
-from .words import Word, _check_length, is_kunz, witness_kunz, witness_nonkunz
+from .words import (
+    Word,
+    _check_length,
+    _letter_bounds,
+    is_kunz,
+    witness_kunz,
+    witness_nonkunz,
+)
 
 DEFAULT_CANDIDATE_CEILING = 10_000_000
 # Largest nerode_evidence run, in letter pairs: comb(cutoff, 2)
@@ -48,7 +54,10 @@ MAX_NERODE_PAIRS = 100_000_000
 
 
 class Dfa(Frozen):
-    """Deterministic finite accepter over a set of integer letters."""
+    """Deterministic finite accepter over a set of integer letters.  The
+    transition, a mapping keyed by (state, letter) pairs of ints, is
+    stored as a plain dict of its own over exactly states x alphabet, so
+    a later change to the caller's mapping does not reach it."""
 
     __slots__ = ("states", "alphabet", "transition", "start", "accepting")
 
@@ -64,18 +73,29 @@ class Dfa(Frozen):
         _check_ints(states, "the states", start=start)
         _check_ints(alphabet, "the alphabet")
         _check_ints(accepting, "the accepting states")
+        if not isinstance(transition, Mapping):
+            raise DomainError(
+                f"the transition must be a mapping, got {type(transition).__name__}"
+            )
+        for key in transition:
+            if not (type(key) is tuple and len(key) == 2
+                    and {int}.issuperset(map(type, key))):
+                raise DomainError("the transition keys must be pairs of integers")
         _check_ints(transition.values(), "the transition targets")
         if start not in states:
             raise DomainError("start state unknown")
         if not accepting <= states:
             raise DomainError("accepting states unknown")
+        table = {}
         for state in states:
             for letter in alphabet:
-                if transition.get((state, letter)) not in states:
+                target = transition.get((state, letter))
+                if target not in states:
                     raise DomainError(
                         f"transition not total at ({state}, {letter})"
                     )
-        super().__init__(states, alphabet, transition, start, accepting)
+                table[state, letter] = target
+        super().__init__(states, alphabet, table, start, accepting)
 
 
 def dfa_k1() -> Dfa:
@@ -276,7 +296,7 @@ def enumerate_kunz(
     by itertools.product.  From q = 3 on, a depth-first search that tries
     letters in ascending order and, the length being fixed, places each
     letter only inside the interval the Kunz conditions decided at its
-    position leave open (see semigroups._letter_bounds), so every dead
+    position leave open (see words._letter_bounds), so every dead
     prefix is cut as soon as it is placed.  It stops two letters short
     and lists the last two from one set of bounds per prefix (see
     _last_letters).  Both paths yield letters in [1, q] by construction,

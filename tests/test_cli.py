@@ -411,6 +411,8 @@ def test_each_subcommand_imports_only_what_it_needs(argv):
     assert "kunzlab.cli" in loaded
     assert not loaded & {"dataclasses", "inspect"}
     assert ("kunzlab.lba" in loaded) == (argv[0] == "lba")
+    # the word layer owns the Kunz scan: only semigroup reads semigroups
+    assert ("kunzlab.semigroups" in loaded) == (argv[0] == "semigroup")
     if argv[0] in ("validate", "semigroup", "witness"):
         assert "kunzlab.languages" not in loaded
     if argv[0] == "--help":

@@ -85,6 +85,38 @@ def test_dfa_takes_exactly_int(field, value, what):
         Dfa(**{**fields, field: value})
 
 
+def test_dfa_keeps_its_own_table():
+    # clearing the caller's dict afterwards leaves the machine whole
+    transition = {(0, 1): 1, (1, 1): 1, (2, 1): 0}
+    d = Dfa(states=frozenset({0, 1}), alphabet=frozenset({1}),
+            transition=transition, start=0, accepting=frozenset({1}))
+    transition.clear()
+    assert dfa_accepts(d, Word((1,))) and not dfa_accepts(d, Word(()))
+    # states x alphabet exactly: the entry for state 2 is not kept
+    assert type(d.transition) is dict
+    assert d.transition == {(0, 1): 1, (1, 1): 1}
+
+
+@pytest.mark.parametrize("transition", [
+    {(0, True): 1, (True, 1): 1},
+    {(0, 1): 1, (1, 1): 1, (0, 1.0, 2): 1},
+    {(0, 1): 1, (1, 1): 1, 3: 1},
+], ids=["bool", "triple", "bare-int"])
+def test_dfa_transition_keys_are_pairs_of_exact_ints(transition):
+    # True == 1, so (0, True) would be looked up as (0, 1) and kept as is
+    with pytest.raises(DomainError, match="^the transition keys must be pairs of integers$"):
+        Dfa(states=frozenset({0, 1}), alphabet=frozenset({1}),
+            transition=transition, start=0, accepting=frozenset({1}))
+
+
+def test_dfa_transition_must_be_a_mapping():
+    # a list of pairs ended in an AttributeError on .values()
+    with pytest.raises(DomainError, match="^the transition must be a mapping, got list$"):
+        Dfa(states=frozenset({0, 1}), alphabet=frozenset({1}),
+            transition=[((0, 1), 1), ((1, 1), 1)], start=0,
+            accepting=frozenset({1}))
+
+
 def test_dfa_k2_equals_membership_oracle():
     d = dfa_k2()
     for w in all_words((1, 2), 9):

@@ -20,8 +20,9 @@ from kunzlab import (
     to_semigroup,
     witness_kunz,
 )
-from kunzlab import semigroups
-from kunzlab.semigroups import MAX_CONDUCTOR, MAX_SEARCH_DEPTH, MAX_WITNESS_LENGTH, from_apery
+from kunzlab import semigroups, words
+from kunzlab.semigroups import MAX_CONDUCTOR, MAX_SEARCH_DEPTH, from_apery
+from kunzlab.words import MAX_WITNESS_LENGTH
 from conftest import (
     kunz_tuple_ok,
     naive_conductor,
@@ -117,7 +118,7 @@ def test_construction_ceiling(monkeypatch):
 
 def test_validation_ceiling_boundary(monkeypatch):
     # m - 1 equal to the ceiling is validated by both routes, one more is not
-    monkeypatch.setattr(semigroups, "MAX_WITNESS_LENGTH", 8)
+    monkeypatch.setattr(words, "MAX_WITNESS_LENGTH", 8)
     s = from_apery(tuple([0] + list(range(10, 18))))
     assert s == NumericalSemigroup((0, 9), 9) and s.multiplicity == 9
     with pytest.raises(ResourceBound, match="multiplicity 10"):
@@ -261,7 +262,7 @@ def test_from_apery_validates_block_witnesses_by_products(monkeypatch):
     word = witness_kunz(12, 372)
     m = len(word) + 1
     values = [0] + [u * m + i for i, u in enumerate(word.letters, 1)]
-    monkeypatch.setattr(semigroups, "_letter_bounds", refuse)
+    monkeypatch.setattr(words, "_letter_bounds", refuse)
     assert from_apery(values) == to_semigroup(word)
     values[2 * 372] += m  # u_744 from 2 to 3, over u_372 + u_372
     with pytest.raises(DomainError, match="Kunz's inequalities fail"):

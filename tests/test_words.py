@@ -20,7 +20,7 @@ from kunzlab import (
     witness_kunz,
     witness_nonkunz,
 )
-from kunzlab import semigroups
+from kunzlab import words as words_module
 from kunzlab.semigroups import from_apery
 from kunzlab.words import MAX_WITNESS_LENGTH
 from conftest import all_words, kunz_tuple_ok
@@ -110,7 +110,7 @@ def products_scan(w):
     u = w.letters
     if 2 * min(u, default=0) >= max(u, default=0):
         return True
-    return semigroups._sums_in_bounds(u, sorted(set(u)), max(u))
+    return words_module._sums_in_bounds(u, sorted(set(u)), max(u))
 
 
 def assert_checks_agree(w):
@@ -151,7 +151,7 @@ def test_core_words_skip_the_interval_scan(monkeypatch):
     def refuse(*args):
         raise AssertionError("interval scan ran")
 
-    monkeypatch.setattr(semigroups, "_letter_bounds", refuse)
+    monkeypatch.setattr(words_module, "_letter_bounds", refuse)
     for w in CORE_WORDS + [Word(()), Word((1,)), Word((2, 1, 2))]:
         assert is_kunz(w)
         m = len(w) + 1
@@ -196,7 +196,7 @@ def test_word_parallel_scan_on_long_words(w, monkeypatch):
         p = rng.randrange(len(letters))
         letters[p] += rng.choice((-1, 1)) if letters[p] > 1 else 1
         near.append(Word(letters))
-    monkeypatch.setattr(semigroups, "_letter_bounds", refuse)
+    monkeypatch.setattr(words_module, "_letter_bounds", refuse)
     verdicts = [is_kunz(v) for v in [w] + near]
     monkeypatch.undo()
     assert verdicts == [True] + [kunz_tuple_ok(v.letters) for v in near]
@@ -230,7 +230,7 @@ def test_slot_width_ignores_letter_size(monkeypatch):
         letters = list(w.letters)
         letters[2 * n - 1] += 1
         words += [w, Word(letters)]
-    monkeypatch.setattr(semigroups, "_letter_bounds", refuse)
+    monkeypatch.setattr(words_module, "_letter_bounds", refuse)
     assert [is_kunz(w) for w in words] == [True, False, True, False]
     monkeypatch.undo()
     assert violations(words[2]) == []
@@ -239,13 +239,13 @@ def test_slot_width_ignores_letter_size(monkeypatch):
 
 def test_dispatch_by_distinct_letters(monkeypatch):
     calls = []
-    letter_bounds = semigroups._letter_bounds
+    letter_bounds = words_module._letter_bounds
 
     def counted(*args):
         calls.append(args[1])
         return letter_bounds(*args)
 
-    monkeypatch.setattr(semigroups, "_letter_bounds", counted)
+    monkeypatch.setattr(words_module, "_letter_bounds", counted)
     # 12 letters over 4,093 positions: products only
     assert is_kunz(witness_kunz(12, 372)) and calls == []
     # one distinct letter per position: the interval scan, every position
